@@ -1,9 +1,10 @@
 // E14: durability cost and recovery time of the journaled object store.
 //
-// The acceptance bar (PR 6): PURE-MUTATE throughput on the durable store
-// -- real FileBackend, real fsync -- must stay within 1.5x of the
-// in-memory store.  Group commit is what buys this: mutators encode under
-// the shard lock, enqueue to the volume's flusher, and pipeline a bounded
+// The design target: PURE-MUTATE throughput on the durable store -- real
+// FileBackend, real fsync -- within 1.5x of the in-memory store (reported
+// as a plain ratio, not enforced).  Group commit is what buys this:
+// mutators encode under the shard lock, enqueue to the volume's flusher,
+// and pipeline a bounded
 // window of commit tickets (release_async + wait_durable) instead of
 // paying one fsync per record.  One flusher cycle = one gather write + one
 // fsync covering every record that piled up while the previous fsync was
@@ -12,8 +13,10 @@
 // Benchmarked:
 //   * open() validation (read path: identical for both stores -- reads
 //     never journal),
-//   * mutate through the accessor hook, in-memory vs. synchronous
-//     journaling vs. group commit, on MemoryBackend and FileBackend,
+//   * mutate through the accessor hook, in-memory vs. a committed store
+//     whose every release waits for its own flush cycle ("per-op wait")
+//     vs. a pipelined window of releases (group commit), on MemoryBackend
+//     and FileBackend,
 //   * pair mutation (the bank-transfer shape, one atomic append group),
 //   * recovery time vs. journal length (and with compaction folding the
 //     log into snapshots -- the log-length knee is the point of E14).
@@ -21,21 +24,18 @@
 // The contrast report at the end prints the durable/in-memory ratios,
 // appends one JSON line to BENCH_durability.json (in the working
 // directory), and ENFORCES the ordering invariant -- grouped FileBackend
-// must beat per-record FileBackend per op -- exiting nonzero on failure
-// so CI's bench-smoke catches a group-commit regression.
+// must beat per-op-wait FileBackend (one fsync per record) per op --
+// exiting nonzero on failure so CI's bench-smoke catches a group-commit
+// regression.
 //
 // Knobs:
 //   --smoke               token repetitions + reduced contrast ops (CI)
-//   --flush-interval=N    flusher linger CEILING in microseconds (0, the
-//                         default, leaves the adaptive waiter-gated linger
-//                         its built-in ceiling)
 //   --backend=KIND        uring  force the io_uring contrast leg (prints a
 //                                waiver note + skips its gate on fallback)
 //                         file   skip the io_uring leg entirely
 //                         (default: run it when the runtime probe passes)
 #include <benchmark/benchmark.h>
 
-#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -62,7 +62,6 @@ constexpr int kObjects = 4096;
 /// wait covers the whole window).
 constexpr int kWindow = 4096;
 
-std::chrono::microseconds g_flush_interval{0};  // --flush-interval=N
 enum class UringLeg : std::uint8_t { automatic, forced, off };
 UringLeg g_uring_leg = UringLeg::automatic;  // --backend=uring|file
 
@@ -82,17 +81,13 @@ struct Payload {
 };
 
 [[nodiscard]] core::Durability<Payload> codec(
-    std::shared_ptr<storage::Backend> backend, bool grouped,
+    const std::shared_ptr<storage::Backend>& backend,
     std::size_t compact_after = 16384) {
   if (backend == nullptr) {
     return {};
   }
   core::Durability<Payload> d;
-  d.backend = backend;
-  if (grouped) {
-    d.committer = storage::GroupCommitter::create(
-        backend, {.flush_interval = g_flush_interval});
-  }
+  d.committer = storage::GroupCommitter::create(backend);
   d.encode = [](Writer& w, const Payload& p) {
     w.u64(p.a);
     w.u64(p.b);
@@ -107,11 +102,10 @@ struct Payload {
 }
 
 struct Rig {
-  explicit Rig(std::shared_ptr<storage::Backend> backend,
-               bool grouped = false) {
+  explicit Rig(const std::shared_ptr<storage::Backend>& backend) {
     store = std::make_unique<core::ObjectStore<Payload>>(
         scheme(), kPort, 17, core::ObjectStore<Payload>::kDefaultShards,
-        codec(std::move(backend), grouped));
+        codec(backend));
     caps.reserve(kObjects);
     for (int i = 0; i < kObjects; ++i) {
       caps.push_back(store->create({static_cast<std::uint64_t>(i), 0}));
@@ -121,29 +115,13 @@ struct Rig {
   std::vector<core::Capability> caps;
 };
 
-/// Synchronous mutate: every release blocks until its record is durable
-/// (in-memory and sync-journaled stores return from release immediately;
-/// grouped stores pay a whole flush cycle per record -- the anti-pattern
-/// the pipelined loop below exists to avoid).
-void mutate_loop(benchmark::State& state, Rig& rig) {
-  Rng rng(99);
-  for (auto _ : state) {
-    const auto& cap = rig.caps[rng.below(kObjects)];
-    auto opened = rig.store->open(cap, core::rights::kWrite);
-    if (!opened.ok()) {
-      state.SkipWithError("open failed");
-      break;
-    }
-    ++opened.value().value->b;
-    opened.value().mark_dirty();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-/// Pipelined mutate: release_async carries the commit ticket; the loop
-/// blocks once per kWindow releases and once at the end, so up to kWindow
-/// records overlap each flusher fsync.
-void mutate_loop_pipelined(benchmark::State& state, Rig& rig) {
+/// Mutates through the accessor hook, carrying each release's commit
+/// ticket and blocking on the newest one every `window` releases (and once
+/// at the end).  Window 1 is a per-op wait: a durable store pays a whole
+/// flush cycle per record -- the anti-pattern the pipelined kWindow
+/// exists to avoid, where up to kWindow records overlap each flusher
+/// fsync.  The in-memory store hands out ticket 0: nothing to wait for.
+void mutate_loop(benchmark::State& state, Rig& rig, int window) {
   Rng rng(99);
   std::uint64_t ticket = 0;
   int outstanding = 0;
@@ -157,13 +135,25 @@ void mutate_loop_pipelined(benchmark::State& state, Rig& rig) {
     ++opened.value().value->b;
     opened.value().mark_dirty();
     ticket = opened.value().release_async();
-    if (++outstanding >= kWindow) {
+    if (++outstanding >= window) {
       rig.store->wait_durable(ticket);
       outstanding = 0;
     }
   }
   rig.store->wait_durable(ticket);
   state.SetItemsProcessed(state.iterations());
+}
+
+/// mutate_loop over a fresh `Volume` in a scratch directory.
+template <typename Volume>
+void file_mutate_loop(benchmark::State& state, const char* tag, int window) {
+  const auto dir = std::filesystem::temp_directory_path() / tag;
+  std::filesystem::remove_all(dir);
+  {
+    Rig rig(std::make_shared<Volume>(dir, 16));
+    mutate_loop(state, rig, window);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 void BM_OpenInMemory(benchmark::State& state) {
@@ -193,42 +183,29 @@ BENCHMARK(BM_OpenJournaled);
 
 void BM_MutateInMemory(benchmark::State& state) {
   Rig rig(nullptr);
-  mutate_loop(state, rig);
+  mutate_loop(state, rig, 1);
 }
 BENCHMARK(BM_MutateInMemory);
 
-void BM_MutateJournaledMemoryBackend(benchmark::State& state) {
+void BM_MutatePerOpWaitMemoryBackend(benchmark::State& state) {
   Rig rig(std::make_shared<storage::MemoryBackend>(16));
-  mutate_loop(state, rig);
+  mutate_loop(state, rig, 1);
 }
-BENCHMARK(BM_MutateJournaledMemoryBackend);
+BENCHMARK(BM_MutatePerOpWaitMemoryBackend);
 
 void BM_MutateGroupedMemoryBackend(benchmark::State& state) {
-  Rig rig(std::make_shared<storage::MemoryBackend>(16), /*grouped=*/true);
-  mutate_loop_pipelined(state, rig);
+  Rig rig(std::make_shared<storage::MemoryBackend>(16));
+  mutate_loop(state, rig, kWindow);
 }
 BENCHMARK(BM_MutateGroupedMemoryBackend);
 
-void BM_MutateJournaledFileBackend(benchmark::State& state) {
-  const auto dir = std::filesystem::temp_directory_path() / "amoeba-e14-bm";
-  std::filesystem::remove_all(dir);
-  {
-    Rig rig(std::make_shared<storage::FileBackend>(dir, 16));
-    mutate_loop(state, rig);
-  }
-  std::filesystem::remove_all(dir);
+void BM_MutatePerOpWaitFileBackend(benchmark::State& state) {
+  file_mutate_loop<storage::FileBackend>(state, "amoeba-e14-bm", 1);
 }
-BENCHMARK(BM_MutateJournaledFileBackend);
+BENCHMARK(BM_MutatePerOpWaitFileBackend);
 
 void BM_MutateGroupedFileBackend(benchmark::State& state) {
-  const auto dir = std::filesystem::temp_directory_path() / "amoeba-e14-bmg";
-  std::filesystem::remove_all(dir);
-  {
-    Rig rig(std::make_shared<storage::FileBackend>(dir, 16),
-            /*grouped=*/true);
-    mutate_loop_pipelined(state, rig);
-  }
-  std::filesystem::remove_all(dir);
+  file_mutate_loop<storage::FileBackend>(state, "amoeba-e14-bmg", kWindow);
 }
 BENCHMARK(BM_MutateGroupedFileBackend);
 
@@ -237,14 +214,8 @@ void BM_MutateGroupedUringBackend(benchmark::State& state) {
     state.SkipWithError("io_uring unavailable (probe or AMOEBA_NO_URING)");
     return;
   }
-  const auto dir = std::filesystem::temp_directory_path() / "amoeba-e14-bmu";
-  std::filesystem::remove_all(dir);
-  {
-    Rig rig(std::make_shared<storage::UringFileBackend>(dir, 16),
-            /*grouped=*/true);
-    mutate_loop_pipelined(state, rig);
-  }
-  std::filesystem::remove_all(dir);
+  file_mutate_loop<storage::UringFileBackend>(state, "amoeba-e14-bmu",
+                                              kWindow);
 }
 BENCHMARK(BM_MutateGroupedUringBackend);
 
@@ -277,25 +248,26 @@ void recovery_bench(benchmark::State& state, std::size_t compact_after) {
   const int mutations = static_cast<int>(state.range(0));
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   {
-    core::ObjectStore<Payload> store(
-        scheme(), kPort, 17, 16,
-        codec(backend, /*grouped=*/false, compact_after));
+    core::ObjectStore<Payload> store(scheme(), kPort, 17, 16,
+                                     codec(backend, compact_after));
     std::vector<core::Capability> caps;
     for (int i = 0; i < 256; ++i) {
       caps.push_back(store.create({static_cast<std::uint64_t>(i), 0}));
     }
     Rng rng(3);
+    std::uint64_t ticket = 0;  // untimed setup: pipeline, wait once
     for (int i = 0; i < mutations; ++i) {
       auto opened = store.open(caps[rng.below(256)], core::rights::kWrite);
       ++opened.value().value->b;
       opened.value().mark_dirty();
+      ticket = opened.value().release_async();
     }
+    store.wait_durable(ticket);
   }
   std::uint64_t recovered = 0;
   for (auto _ : state) {
-    core::ObjectStore<Payload> store(
-        scheme(), kPort, 18, 16,
-        codec(backend, /*grouped=*/false, compact_after));
+    core::ObjectStore<Payload> store(scheme(), kPort, 18, 16,
+                                     codec(backend, compact_after));
     recovered = store.live_count();
     benchmark::DoNotOptimize(recovered);
   }
@@ -314,9 +286,11 @@ void BM_RecoveryVsLogLengthCompacted(benchmark::State& state) {
 BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
 
 /// One pure-mutate timing: `ops` mutations through the pipelined release
-/// path (in-memory and sync-journaled stores return ticket 0, so the same
-/// loop shape serves every mode -- the comparison stays apples-to-apples).
-[[nodiscard]] double timed_mutates(Rig& rig, int ops) {
+/// path, blocking on the newest ticket every `window` releases (1: every
+/// release waits for its own cycle; the in-memory store returns ticket 0,
+/// so the same loop shape serves every mode -- the comparison stays
+/// apples-to-apples).
+[[nodiscard]] double timed_mutates(Rig& rig, int ops, int window = kWindow) {
   Rng rng(1);
   return amoeba::bench::timed_ms([&] {
     std::uint64_t ticket = 0;
@@ -327,7 +301,7 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
       ++opened.value().value->b;
       opened.value().mark_dirty();
       ticket = opened.value().release_async();
-      if (++outstanding >= kWindow) {
+      if (++outstanding >= window) {
         rig.store->wait_durable(ticket);
         outstanding = 0;
       }
@@ -346,7 +320,8 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
 /// pipelined window keeps kWindow records in flight against it.
 [[nodiscard]] int report(bool smoke) {
   const int ops = smoke ? 40'000 : 400'000;
-  // Per-record fsync is ~100 us/op: cap its op count and compare per-op.
+  // A per-op wait costs one fsync per record (~100 us/op): cap its op
+  // count and compare per-op.
   const int sync_file_ops = smoke ? 500 : 4'000;
   const auto tmp = std::filesystem::temp_directory_path();
 
@@ -356,10 +331,10 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
   }();
   const double sync_mem_ms = [&] {
     Rig rig(std::make_shared<storage::MemoryBackend>(16));
-    return timed_mutates(rig, ops);
+    return timed_mutates(rig, ops, /*window=*/1);
   }();
   const double grouped_mem_ms = [&] {
-    Rig rig(std::make_shared<storage::MemoryBackend>(16), /*grouped=*/true);
+    Rig rig(std::make_shared<storage::MemoryBackend>(16));
     return timed_mutates(rig, ops);
   }();
   const double sync_file_ms = [&] {
@@ -368,7 +343,7 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
     double ms = 0;
     {
       Rig rig(std::make_shared<storage::FileBackend>(dir, 16));
-      ms = timed_mutates(rig, sync_file_ops);
+      ms = timed_mutates(rig, sync_file_ops, /*window=*/1);
     }
     std::filesystem::remove_all(dir);
     return ms;
@@ -379,8 +354,7 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
     const auto dir = tmp / "amoeba-e14-grouped";
     std::filesystem::remove_all(dir);
     {
-      Rig rig(std::make_shared<storage::FileBackend>(dir, 16),
-              /*grouped=*/true);
+      Rig rig(std::make_shared<storage::FileBackend>(dir, 16));
       grouped_file_ms = timed_mutates(rig, ops);
       flusher_stats = rig.store->committer()->stats();
     }
@@ -401,8 +375,7 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
     const auto dir = tmp / "amoeba-e14-uring";
     std::filesystem::remove_all(dir);
     {
-      Rig rig(std::make_shared<storage::UringFileBackend>(dir, 16),
-              /*grouped=*/true);
+      Rig rig(std::make_shared<storage::UringFileBackend>(dir, 16));
       const storage::IoCounters before = storage::this_thread_io_counters();
       uring_file_ms = timed_mutates(rig, ops);
       const storage::IoCounters after = storage::this_thread_io_counters();
@@ -420,16 +393,16 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
   std::printf(
       "\nE14 durability contrast (pure mutate: every op journals)\n"
       "  in-memory store               : %9.1f ms  (%6.2f us/op)\n"
-      "  sync journal, MemoryBackend   : %9.1f ms  (%6.2f us/op)\n"
+      "  per-op wait,  MemoryBackend   : %9.1f ms  (%6.2f us/op)\n"
       "  grouped,      MemoryBackend   : %9.1f ms  (%6.2f us/op)\n"
-      "  sync journal, FileBackend     : %9.1f ms  (%6.2f us/op, fsync "
+      "  per-op wait,  FileBackend     : %9.1f ms  (%6.2f us/op, fsync "
       "per record, %d ops)\n"
       "  grouped,      FileBackend     : %9.1f ms  (%6.2f us/op, window "
       "%d)\n"
       "  flusher: %llu groups, %llu records, max group %llu\n"
-      "  grouped-file / in-memory      : %9.2fx  (acceptance bar: <= "
-      "1.5x)%s\n"
-      "  grouped-file / sync-file      : %9.3fx per op (must be < 1)\n",
+      "  grouped-file / in-memory      : %9.2fx  (target 1.5x; not "
+      "enforced)\n"
+      "  grouped-file / per-op-file    : %9.3fx per op (must be < 1)\n",
       memory_ms, memory_ms * 1e3 / ops, sync_mem_ms, sync_mem_ms * 1e3 / ops,
       grouped_mem_ms, grouped_mem_ms * 1e3 / ops, sync_file_ms,
       per_op_sync_file_us, sync_file_ops, grouped_file_ms,
@@ -437,8 +410,7 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
       static_cast<unsigned long long>(flusher_stats.groups),
       static_cast<unsigned long long>(flusher_stats.records),
       static_cast<unsigned long long>(flusher_stats.max_group),
-      headline, headline <= 1.5 ? "  PASS" : "  FAIL",
-      per_op_grouped_file_us / per_op_sync_file_us);
+      headline, per_op_grouped_file_us / per_op_sync_file_us);
   if (uring_ok) {
     std::printf(
         "  grouped,      UringBackend    : %9.1f ms  (%6.2f us/op)\n"
@@ -463,14 +435,13 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
     std::fprintf(
         json,
         "{\"bench\": \"e14\", \"mode\": \"%s\", \"ops\": %d, "
-        "\"window\": %d, \"flush_interval_us\": %lld, "
+        "\"window\": %d, "
         "\"in_memory_ms\": %.3f, \"sync_memory_ms\": %.3f, "
         "\"grouped_memory_ms\": %.3f, \"sync_file_us_per_op\": %.3f, "
         "\"grouped_file_ms\": %.3f, \"grouped_file_us_per_op\": %.3f, "
         "\"grouped_file_vs_in_memory\": %.3f, \"flush_groups\": %llu, "
         "\"max_group\": %llu",
-        smoke ? "smoke" : "full", ops, kWindow,
-        static_cast<long long>(g_flush_interval.count()), memory_ms,
+        smoke ? "smoke" : "full", ops, kWindow, memory_ms,
         sync_mem_ms, grouped_mem_ms, per_op_sync_file_us, grouped_file_ms,
         per_op_grouped_file_us, headline,
         static_cast<unsigned long long>(flusher_stats.groups),
@@ -496,14 +467,14 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
     std::fclose(json);
   }
 
-  // The enforced invariant: group commit must beat per-record fsync per
-  // op.  (The 1.5x headline is reported above; it is load- and
-  // disk-dependent, so CI enforces only the ordering, which a broken
-  // flusher cannot fake.)
+  // The enforced invariant: group commit must beat a per-op wait (one
+  // fsync per record) per op.  (The 1.5x headline is reported above as a
+  // plain ratio; it is load- and disk-dependent, so CI enforces only the
+  // ordering, which a broken flusher cannot fake.)
   if (per_op_grouped_file_us >= per_op_sync_file_us) {
     std::fprintf(stderr,
                  "E14 FAIL: grouped FileBackend (%.2f us/op) did not beat "
-                 "per-record fsync (%.2f us/op)\n",
+                 "per-op-wait fsync (%.2f us/op)\n",
                  per_op_grouped_file_us, per_op_sync_file_us);
     return 1;
   }
@@ -529,20 +500,12 @@ BENCHMARK(BM_RecoveryVsLogLengthCompacted)->Arg(1024)->Arg(8192)->Arg(65536);
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::vector<char*> args;  // --flush-interval is ours, not benchmark's
+  std::vector<char*> args;  // --backend is ours, not benchmark's
   args.reserve(static_cast<std::size_t>(argc));
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     smoke |= arg == "--smoke";
-    if (constexpr std::string_view prefix = "--flush-interval=";
-        arg.starts_with(prefix)) {
-      long long us = 0;
-      const auto* begin = arg.data() + prefix.size();
-      std::from_chars(begin, arg.data() + arg.size(), us);
-      g_flush_interval = std::chrono::microseconds(us);
-      continue;
-    }
     if (constexpr std::string_view prefix = "--backend=";
         arg.starts_with(prefix)) {
       const std::string_view kind = arg.substr(prefix.size());

@@ -54,14 +54,6 @@ constexpr Port kPort{0xE15E15E15ULL};
 constexpr int kObjects = 4096;
 /// Pipelined durability window (same shape as E14's mutate loops).
 constexpr int kWindow = 4096;
-/// Flusher linger, applied to ALL rigs (the unreplicated baseline too, so
-/// the contrast stays apples-to-apples).  A replicated volume is deployed
-/// with a linger: each shipment costs an encode + an RPC + a remote
-/// apply, so cycles must be big enough to amortize it -- with a 0 linger
-/// the flusher emits ~10-record cycles and the per-cycle shipping tax
-/// dwarfs the mutation work being shipped.
-constexpr std::chrono::microseconds kFlushLinger{200};
-
 [[nodiscard]] std::shared_ptr<const core::ProtectionScheme> scheme() {
   static const std::shared_ptr<const core::ProtectionScheme> shared = [] {
     Rng rng(19);
@@ -76,12 +68,14 @@ struct Payload {
   std::uint64_t b = 0;
 };
 
+/// Every rig (the unreplicated baseline too) runs the committer's fixed
+/// adaptive pacing: it lingers up to 200 us while no mutator waits, so the
+/// pipelined cycles are big enough to amortize a shipment's encode + RPC
+/// + remote apply.
 [[nodiscard]] core::Durability<Payload> codec(
-    std::shared_ptr<storage::Backend> backend) {
+    const std::shared_ptr<storage::Backend>& backend) {
   core::Durability<Payload> d;
-  d.backend = backend;
-  d.committer = storage::GroupCommitter::create(
-      backend, {.flush_interval = kFlushLinger});
+  d.committer = storage::GroupCommitter::create(backend);
   d.encode = [](Writer& w, const Payload& p) {
     w.u64(p.a);
     w.u64(p.b);

@@ -71,20 +71,19 @@
 // (Opened2) flush their two dirty payloads as ONE atomic journal group,
 // so a crash image can never hold half a bank transfer.
 //
-// Group commit.  With Durability::committer set, the framed record is
-// ENQUEUED (under the shard lock) to the volume's group-commit flusher
-// with an assigned commit ticket; the mutating operation then releases
-// the shard lock and blocks until the flusher reports the ticket durable,
-// so "durable on return" still holds while one backend write + one fsync
-// per flush cycle covers every record that piled up meanwhile.  Handlers
-// that can pipeline use Opened::release_async() to carry the ticket as a
-// future and wait through ShardedObjectStore::wait_durable() later.
-// Without a committer every append is synchronous on the mutator thread
-// (the PR-5 shape, still supported).
+// Group commit.  Durability::committer is the store's only path to its
+// volume (committer->backend()): the framed record is ENCODED (under the
+// shard lock) straight into the volume's group-commit queue with an
+// assigned commit ticket; the mutating operation then releases the shard
+// lock and blocks until the flusher reports the ticket durable, so
+// "durable on return" holds while one backend write + one fsync per flush
+// cycle covers every record that piled up meanwhile.  Handlers that can
+// pipeline use Opened::release_async() to carry the ticket as a future
+// and wait through ShardedObjectStore::wait_durable() later.
 //
 // Shards self-compact: after `compact_after` records a shard serializes
 // its live slots into a snapshot and restarts its journal.  The recovery
-// constructor (a Durability whose backend is non-empty) replays
+// constructor (a Durability whose volume is non-empty) replays
 // snapshot-then-journal to rebuild every shard -- secrets, payloads, free
 // lists -- tolerating a torn final record.
 #pragma once
@@ -115,15 +114,14 @@ namespace amoeba::core {
 
 /// Attaches a store to a storage volume.  `encode`/`decode` are the
 /// payload codecs (a server declares how its object type serializes);
-/// both are required when `backend` is set.  A non-empty backend triggers
+/// both are required when `committer` is set.  A non-empty volume triggers
 /// recovery; an empty one starts a fresh durable store.
 template <typename T>
 struct Durability {
-  std::shared_ptr<storage::Backend> backend;  // null = in-memory only
-  /// Group-commit queue for `backend` (must wrap the same volume).  When
-  /// set, journal appends are enqueued and batched by the volume's flusher
-  /// and mutators block -- after releasing the shard lock -- on their
-  /// commit ticket; when null, every append is synchronous.
+  /// Group-commit queue of the volume (committer->backend()); null means
+  /// in-memory only.  Journal appends are enqueued and batched by the
+  /// volume's flusher, and mutators block -- after releasing the shard
+  /// lock -- on their commit ticket.
   std::shared_ptr<storage::GroupCommitter> committer;
   std::function<void(Writer&, const T&)> encode;
   std::function<bool(Reader&, T&)> decode;
@@ -163,21 +161,15 @@ class ShardedObjectStore {
     if (shards == 0 || (shards & (shards - 1)) != 0) {
       throw UsageError("ObjectStore shard count must be a power of two");
     }
-    if (durability_.backend != nullptr) {
+    if (durable()) {
       if (!durability_.encode || !durability_.decode) {
         throw UsageError("ObjectStore: durable stores need payload codecs");
       }
-      if (durability_.backend->shard_count() != shards) {
+      if (volume().shard_count() != shards) {
         throw UsageError(
             "ObjectStore: backend shard count must match the store's "
             "(object-number layout is per-shard)");
       }
-    }
-    if (durability_.committer != nullptr &&
-        durability_.committer->backend() != durability_.backend) {
-      throw UsageError(
-          "ObjectStore: the committer must wrap the store's own backend "
-          "(tickets are per-volume)");
     }
     shards_.reserve(shards);
     // Highest slot index a shard can ever hold in the 24-bit object space
@@ -189,7 +181,7 @@ class ShardedObjectStore {
       shards_.push_back(std::make_unique<Shard>(
           seed ^ (0x9E3779B97F4A7C15ULL * (s + 1)), max_slots));
     }
-    if (durability_.backend != nullptr && !durability_.backend->empty()) {
+    if (durable() && !volume().empty()) {
       recover();
     }
   }
@@ -261,8 +253,8 @@ class ShardedObjectStore {
 
     /// Journals any dirty payload and releases the object WITHOUT blocking
     /// on group-commit durability: returns the commit ticket to hand to
-    /// ShardedObjectStore::wait_durable() later (0 -- already durable --
-    /// for in-memory and synchronously journaled stores).  The pipelined
+    /// ShardedObjectStore::wait_durable() later (0 for in-memory stores
+    /// and clean releases: nothing to wait for).  The pipelined
     /// form: keep a bounded window of outstanding tickets and overlap many
     /// mutations against one flush cycle.
     [[nodiscard]] std::uint64_t release_async() {
@@ -290,8 +282,8 @@ class ShardedObjectStore {
     /// patches when only mark_dirty_delta was called).  Runs while the
     /// owning shard's mutex is held -- by this accessor's own lock, or
     /// (for the lock-sharing member of a same-shard pair) by its
-    /// partner's.  Group-committed stores only ENQUEUE here; the blocking
-    /// wait belongs to finish(), after the lock drops.
+    /// partner's.  Durable stores only ENQUEUE here; the blocking wait
+    /// belongs to finish(), after the lock drops.
     void flush_dirty() {
       if (store_ != nullptr && value != nullptr) {
         if (dirty_) {
@@ -447,13 +439,7 @@ class ShardedObjectStore {
     std::uint64_t recovered_objects = 0;    // live slots after recovery
     std::uint64_t replayed_records = 0;     // journal records applied
     bool recovered = false;                 // this store was rebuilt
-    // Group-commit submission pipeline (zero without a committer; the
-    // ring counters additionally stay zero on sync backends).  Mirrors
-    // storage::GroupCommitter::Stats -- see that struct for semantics.
-    std::uint64_t inflight_cycles = 0;
-    std::uint64_t sqe_submitted = 0;
-    std::uint64_t cqe_completed = 0;
-    std::uint64_t linger_us_current = 0;
+    // Flush-pipeline counters live on the committer: committer()->stats().
   };
 
   /// Creates an object and mints its owner capability carrying `rights`.
@@ -507,10 +493,10 @@ class ShardedObjectStore {
   }
 
   /// Blocks until the given group-commit ticket is durable (no-op for
-  /// ticket 0 or a store without a committer).  Pairs with
+  /// ticket 0, which is all an in-memory store hands out).  Pairs with
   /// Opened::release_async() for pipelined mutation windows.
   void wait_durable(std::uint64_t ticket) {
-    if (ticket != 0 && durability_.committer != nullptr) {
+    if (ticket != 0) {
       durability_.committer->wait_durable(ticket);
     }
   }
@@ -834,7 +820,7 @@ class ShardedObjectStore {
   /// compaction; also what a clean shutdown would call).  No-op for
   /// in-memory stores.
   void compact() {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       return;
     }
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -851,7 +837,7 @@ class ShardedObjectStore {
   [[nodiscard]] Port server_port() const { return server_port_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] bool durable() const {
-    return durability_.backend != nullptr;
+    return durability_.committer != nullptr;
   }
 
   /// Aggregate validated-capability cache statistics across shards.
@@ -868,15 +854,15 @@ class ShardedObjectStore {
     return total;
   }
 
-  /// Journal/recovery counters (zeroes for an in-memory store).
-  /// The store's group committer -- null for in-memory and synchronously
-  /// journaled stores.  Exposed for flusher statistics (benchmarks print
-  /// group sizes) and for sharing one committer across stores of a volume.
+  /// The store's group committer -- null for in-memory stores.  Exposed
+  /// for flusher statistics (benchmarks print group sizes) and for sharing
+  /// one committer across stores of a volume.
   [[nodiscard]] const std::shared_ptr<storage::GroupCommitter>& committer()
       const {
     return durability_.committer;
   }
 
+  /// Journal/recovery counters (zeroes for an in-memory store).
   [[nodiscard]] DurabilityStats durability_stats() const {
     DurabilityStats total = recovery_stats_;
     for (const auto& shard : shards_) {
@@ -884,13 +870,6 @@ class ShardedObjectStore {
       total.journal_records += shard->journal_records;
       total.journal_bytes += shard->journal_bytes;
       total.snapshots += shard->snapshots;
-    }
-    if (durability_.committer != nullptr) {
-      const auto gc = durability_.committer->stats();
-      total.inflight_cycles = gc.inflight_cycles;
-      total.sqe_submitted = gc.sqe_submitted;
-      total.cqe_completed = gc.cqe_completed;
-      total.linger_us_current = gc.linger_us_current;
     }
     return total;
   }
@@ -974,8 +953,12 @@ class ShardedObjectStore {
     std::uint64_t journal_bytes = 0;
     std::uint64_t snapshots = 0;
     Writer scratch_payload;  // reused per append: no steady-state allocs
-    Buffer scratch_frame;
   };
+
+  /// The durable store's volume (the committer's backend).
+  [[nodiscard]] storage::Backend& volume() const {
+    return *durability_.committer->backend();
+  }
 
   [[nodiscard]] std::size_t shard_index(ObjectNumber object) const {
     return object.value() & (shards_.size() - 1);
@@ -1180,100 +1163,68 @@ class ShardedObjectStore {
 
   // ---- durability internals (caller holds the shard mutex) --------------
 
-  /// Frames one record with a pre-serialized payload view into the shard's
-  /// scratch buffer (returned by reference; reused per append, so the
-  /// steady-state hot path allocates nothing).  Framing -- under the shard
-  /// lock -- is where the record's LSN is assigned, so a snapshot taken
-  /// later under the same lock always covers every framed record, flushed
-  /// or still queued.
-  [[nodiscard]] const Buffer& frame_raw(Shard& shard, storage::RecordType type,
-                                        ObjectNumber object,
-                                        std::uint64_t secret,
-                                        std::span<const std::uint8_t> payload) {
-    shard.scratch_frame.clear();
+  /// Appends one framed record with a pre-serialized payload view to
+  /// `out`.  Framing -- under the shard lock -- is where the record's LSN
+  /// is assigned, so a snapshot taken later under the same lock always
+  /// covers every framed record, flushed or still queued.
+  void frame_into(Shard& shard, storage::RecordType type, ObjectNumber object,
+                  std::uint64_t secret, std::span<const std::uint8_t> payload,
+                  Buffer& out) {
+    const std::size_t before = out.size();
     storage::encode_record_into(type, object, secret, ++shard.lsn, payload,
-                                shard.scratch_frame);
-    shard.journal_bytes += shard.scratch_frame.size();
+                                out);
+    shard.journal_bytes += out.size() - before;
     ++shard.journal_records;
     ++shard.records_pending;
-    return shard.scratch_frame;
   }
 
-  /// frame_raw with the payload serialized through the store's codec.
-  /// `payload` may be null (destroy/rotate).
-  [[nodiscard]] const Buffer& frame_record(Shard& shard,
-                                           storage::RecordType type,
-                                           ObjectNumber object,
-                                           std::uint64_t secret,
-                                           const T* payload) {
+  /// Serializes `payload` through the store's codec into the shard's
+  /// reusable scratch buffer (so the steady-state hot path allocates
+  /// nothing).  `payload` may be null (destroy/rotate).
+  [[nodiscard]] std::span<const std::uint8_t> encode_payload(
+      Shard& shard, const T* payload) {
     shard.scratch_payload.clear();
     if (payload != nullptr) {
       durability_.encode(shard.scratch_payload, *payload);
     }
-    return frame_raw(shard, type, object, secret,
-                     shard.scratch_payload.buffer());
+    return shard.scratch_payload.buffer();
   }
 
-  /// Appends one single-shard record to the volume: LSN assignment and
-  /// shard counters here (under the shard lock), then either
-  /// * group commit -- the record is ENCODED DIRECTLY into the
-  ///   committer's staging buffer via enqueue_with(), skipping the
-  ///   frame-to-scratch copy the pre-encoded enqueue() path pays, or
-  /// * synchronous mode -- framed into the shard scratch and appended on
-  ///   this thread (returns 0, already durable).
-  /// Caller holds the shard mutex; group-committed callers wait on the
-  /// returned ticket AFTER dropping it.
+  /// Appends one single-shard record to the volume: the record is ENCODED
+  /// DIRECTLY into the committer's staging buffer via enqueue_with(), LSN
+  /// and shard counters included.  Caller holds the shard mutex and waits
+  /// on the returned ticket AFTER dropping it.
   [[nodiscard]] std::uint64_t submit_raw_locked(
       std::size_t s, Shard& shard, storage::RecordType type,
       ObjectNumber object, std::uint64_t secret,
       std::span<const std::uint8_t> payload) {
-    const std::uint64_t lsn = ++shard.lsn;
-    ++shard.journal_records;
-    ++shard.records_pending;
-    std::uint64_t ticket = 0;
-    if (durability_.committer != nullptr) {
-      std::size_t framed = 0;
-      ticket = durability_.committer->enqueue_with(s, [&](Buffer& staging) {
-        const std::size_t before = staging.size();
-        storage::encode_record_into(type, object, secret, lsn, payload,
-                                    staging);
-        framed = staging.size() - before;
-      });
-      shard.journal_bytes += framed;
-    } else {
-      shard.scratch_frame.clear();
-      storage::encode_record_into(type, object, secret, lsn, payload,
-                                  shard.scratch_frame);
-      shard.journal_bytes += shard.scratch_frame.size();
-      durability_.backend->append_journal(s, shard.scratch_frame);
-    }
+    const std::uint64_t ticket =
+        durability_.committer->enqueue_with(s, [&](Buffer& staging) {
+          frame_into(shard, type, object, secret, payload, staging);
+        });
     maybe_compact_locked(s, shard);
     return ticket;
   }
 
   /// Appends one record to the shard's journal and runs the compaction
-  /// check.  No-op without a backend (returns 0).
+  /// check.  No-op for an in-memory store (returns 0).
   [[nodiscard]] std::uint64_t journal_locked(std::size_t s, Shard& shard,
                                              storage::RecordType type,
                                              ObjectNumber object,
                                              std::uint64_t secret,
                                              const T* payload) {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       return 0;
     }
-    shard.scratch_payload.clear();
-    if (payload != nullptr) {
-      durability_.encode(shard.scratch_payload, *payload);
-    }
     return submit_raw_locked(s, shard, type, object, secret,
-                             shard.scratch_payload.buffer());
+                             encode_payload(shard, payload));
   }
 
   /// Journals one payload mutation.  The caller (an accessor flush) holds
   /// the owning shard's mutex.
   [[nodiscard]] std::uint64_t journal_mutate_locked(ObjectNumber object,
                                                     const T& value) {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       return 0;
     }
     const std::size_t s = shard_index(object);
@@ -1285,7 +1236,7 @@ class ShardedObjectStore {
   /// holds the owning shard's mutex.
   [[nodiscard]] std::uint64_t journal_delta_locked(ObjectNumber object,
                                                    const Buffer& patch) {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       return 0;
     }
     if (!durability_.apply_delta) {
@@ -1303,7 +1254,7 @@ class ShardedObjectStore {
   /// flushes (their destructors run right after).  Caller holds both
   /// shard locks; the returned ticket is waited on after they drop.
   [[nodiscard]] std::uint64_t journal_pair_locked(Opened& a, Opened& b) {
-    if (durability_.backend == nullptr) {
+    if (!durable()) {
       a.dirty_ = false;
       b.dirty_ = false;
       a.deltas_.clear();
@@ -1317,11 +1268,10 @@ class ShardedObjectStore {
       }
       const std::size_t s = shard_index(member->object);
       Shard& shard = *shards_[s];
-      // The group owns copies of the frames: both members may share one
-      // shard (and its scratch buffer).
+      Buffer frames;
       if (member->dirty_) {
-        group.push_back({s, frame_record(shard, storage::RecordType::mutate,
-                                         member->object, 0, member->value)});
+        frame_into(shard, storage::RecordType::mutate, member->object, 0,
+                   encode_payload(shard, member->value), frames);
       } else {
         if (!member->deltas_.empty() && !durability_.apply_delta) {
           throw UsageError(
@@ -1329,10 +1279,12 @@ class ShardedObjectStore {
               "(recovery could not replay the patch)");
         }
         for (const Buffer& patch : member->deltas_) {
-          group.push_back(
-              {s, frame_raw(shard, storage::RecordType::delta, member->object,
-                            0, patch)});
+          frame_into(shard, storage::RecordType::delta, member->object, 0,
+                     patch, frames);
         }
+      }
+      if (!frames.empty()) {
+        group.push_back({s, std::move(frames)});
       }
       member->dirty_ = false;
       member->deltas_.clear();
@@ -1340,13 +1292,9 @@ class ShardedObjectStore {
     if (group.empty()) {
       return 0;
     }
-    std::uint64_t ticket = 0;
-    if (durability_.committer != nullptr) {
-      // One enqueue_group: no flush-cycle boundary can split the pair.
-      ticket = durability_.committer->enqueue_group(std::move(group));
-    } else {
-      durability_.backend->append_journal_batch(std::move(group));
-    }
+    // One enqueue_group: no flush-cycle boundary can split the pair.
+    const std::uint64_t ticket =
+        durability_.committer->enqueue_group(std::move(group));
     for (Opened* member : {&a, &b}) {
       if (member->value != nullptr && member->store_ != nullptr) {
         const std::size_t s = shard_index(member->object);
@@ -1370,8 +1318,8 @@ class ShardedObjectStore {
   /// time under this same lock, so `shard.lsn` here covers every record
   /// ever framed for the shard -- including ones still sitting in the
   /// committer's queue.  If the flusher writes such a record AFTER the
-  /// install truncates the journal, replay skips it (lsn <= applied_lsn)
-  /// and the snapshot, which already reflects its effect, wins.
+  /// snapshot is installed, replay skips it (lsn <= applied_lsn) and the
+  /// snapshot, which already reflects its effect, wins.
   void snapshot_shard_locked(std::size_t s, Shard& shard) {
     std::vector<storage::SnapshotSlot> slots;
     const std::uint32_t limit =
@@ -1390,7 +1338,7 @@ class ShardedObjectStore {
       image.payload = w.take();
       slots.push_back(std::move(image));
     }
-    durability_.backend->install_snapshot(
+    volume().install_snapshot(
         s, storage::encode_snapshot(slots, shard.lsn));
     shard.records_pending = 0;
     ++shard.snapshots;
@@ -1404,7 +1352,7 @@ class ShardedObjectStore {
       Shard& shard = *shards_[s];
       std::vector<storage::SnapshotSlot> snapshot;
       std::uint64_t applied_lsn = 0;
-      if (!storage::decode_snapshot(durability_.backend->read_snapshot(s),
+      if (!storage::decode_snapshot(volume().read_snapshot(s),
                                     snapshot, applied_lsn)) {
         throw UsageError("ObjectStore: corrupt shard snapshot on recovery");
       }
@@ -1421,7 +1369,7 @@ class ShardedObjectStore {
       }
       shard.lsn = applied_lsn;
       const auto records =
-          storage::decode_journal(durability_.backend->read_journal(s));
+          storage::decode_journal(volume().read_journal(s));
       for (const storage::Record& record : records) {
         if (record.lsn <= applied_lsn) {
           continue;  // already folded into the snapshot (compaction race)

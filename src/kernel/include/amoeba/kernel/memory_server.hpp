@@ -133,7 +133,6 @@ class MemoryServer final : public rpc::Service {
   using Store = core::ObjectStore<Payload>;
 
   [[nodiscard]] static core::Durability<Payload> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   [[nodiscard]] Result<rpc::CapabilityReply> do_create_segment(
@@ -153,9 +152,6 @@ class MemoryServer final : public rpc::Service {
 
   // Segments/processes are exclusive under their shard locks while
   // opened; only the machine-wide memory budget needs its own lock.
-  // Declared before store_: the store enqueues on it for its whole
-  // lifetime (destruction order tears the store down first).
-  std::shared_ptr<storage::GroupCommitter> committer_;
   Store store_;
   std::uint64_t memory_limit_;
   mutable std::mutex memory_mutex_;

@@ -180,23 +180,24 @@ class Service {
 
   // ---- durable restart support ----------------------------------------
 
-  /// Wires the at-most-once reply cache to a storage volume: restores the
-  /// per-client suppression floors (and any persisted reply bodies) the
-  /// previous incarnation left in the backend's metadata area, and
-  /// persists updated floors before every freshly claimed at-most-once
-  /// request executes -- the ordering that guarantees a post-restart
-  /// duplicate of an executed transfer is dropped, never re-run.  Null
-  /// backend: no-op.  Call from the server constructor, before start().
-  ///
-  /// The two-argument form routes persists through the volume's
-  /// group-commit flusher: each floor write is enqueued as metadata on the
-  /// current flush cycle and the claim blocks until that cycle is durable
-  /// (coalesced with every journal append and every other claim of the
-  /// cycle), instead of paying a private put_meta fsync per claim.
-  /// `committer` may be null (synchronous persists, the PR-5 shape).
-  void attach_durability(std::shared_ptr<storage::Backend> backend);
-  void attach_durability(std::shared_ptr<storage::Backend> backend,
-                         std::shared_ptr<storage::GroupCommitter> committer);
+  /// Wires the at-most-once reply cache to a storage volume through its
+  /// group committer: restores the per-client suppression floors (and any
+  /// persisted reply bodies) the previous incarnation left in the volume's
+  /// metadata area, and persists updated floors before every freshly
+  /// claimed at-most-once request executes -- the ordering that
+  /// guarantees a post-restart duplicate of an executed transfer is
+  /// dropped, never re-run.  Each floor write is enqueued as metadata on
+  /// the current flush cycle and the claim blocks until that cycle is
+  /// durable (coalesced with every journal append and every other claim
+  /// of the cycle).  Null committer (an in-memory server): no-op.  Call
+  /// from the server constructor, before start().
+  void attach_durability(std::shared_ptr<storage::GroupCommitter> committer);
+  /// The committer attach_durability wired in (null for an in-memory
+  /// service); drain() it to wait out best-effort reply-body persists.
+  [[nodiscard]] const std::shared_ptr<storage::GroupCommitter>& committer()
+      const {
+    return reply_committer_;
+  }
 
   /// Serialized per-client suppression state (src machine, client id,
   /// highest seq claimed, plus a bounded window of completed reply
@@ -230,7 +231,7 @@ class Service {
   /// Installs the provider for the service's deployment line in detailed
   /// std_info replies (replication role, peers, lag).  Unset, info_detail()
   /// reports "role=standalone".  Call before start(); attach_durability
-  /// installs one automatically when its backend is replicated.
+  /// installs one automatically (replication role plus flush counters).
   void set_info_detail(std::function<std::string()> provider);
   /// The current deployment line.  Safe while workers run: the provider
   /// reads its own thread-safe sources.
@@ -378,14 +379,14 @@ class Service {
   /// Publishes the reply of a claimed request and evicts beyond the
   /// per-client window.
   void store_reply(const net::Delivery& request, const net::Message& reply);
-  /// Advances the claiming client's persisted floor and pushes the image
-  /// through the sink, if attached (called for every freshly claimed
+  /// Advances the claiming client's persisted floor and enqueues the image
+  /// on the committer, if attached (called for every freshly claimed
   /// at-most-once request BEFORE its handler runs -- write-ahead for the
   /// suppression state).  Update, encode, and write happen under one
   /// mutex: persists are totally ordered and each contains all rows of
-  /// every earlier one.  With a committer the write is an enqueue and the
-  /// durability wait happens AFTER the mutex drops, so concurrent claims
-  /// pile their floors into the same flush cycle.
+  /// every earlier one.  The write is an enqueue and the durability wait
+  /// happens AFTER the mutex drops, so concurrent claims pile their floors
+  /// into the same flush cycle.
   void persist_reply_floor(const ClientKey& key, std::uint64_t seq);
   /// Adds one completed reply body to the client's persisted window and
   /// re-persists the image, best effort and WITHOUT waiting: the floor --
@@ -419,12 +420,11 @@ class Service {
   mutable std::mutex info_detail_mutex_;       // guards info_detail_
   std::function<std::string()> info_detail_;   // deployment-line provider
   // Floor persistence: the canonical suppression-state image is
-  // maintained incrementally (O(1) per claim) and encoded+written to the
-  // sink under ONE mutex, so a later persist always contains every
+  // maintained incrementally (O(1) per claim) and encoded+enqueued to the
+  // committer under ONE mutex, so a later persist always contains every
   // earlier row -- a stale image can never overwrite a newer one (the
   // ordering §8.4's never-twice guarantee rests on).  Held only by
-  // durable services.  The sink returns the group-commit ticket to wait
-  // on (0: already durable, the synchronous-backend shape).
+  // durable services.
   /// One client's persisted slice: its floor plus a bounded window of
   /// encoded completed reply bodies (seq -> wire-independent body image).
   struct PersistedClient {
@@ -441,9 +441,10 @@ class Service {
   mutable std::mutex reply_floor_mutex_;
   std::unordered_map<ClientKey, PersistedClient, ClientKeyHash>
       reply_floors_;
-  std::function<std::uint64_t(Buffer)> reply_floor_sink_;
+  /// Set once by attach_durability, before reply_floors_attached_ is
+  /// published; read without a lock after that acquire.
   std::shared_ptr<storage::GroupCommitter> reply_committer_;
-  std::atomic<bool> reply_floor_sink_set_{false};
+  std::atomic<bool> reply_floors_attached_{false};
   std::unordered_map<std::uint16_t, Handler> handlers_;  // frozen at start()
   std::vector<OpInfo> typed_ops_;                        // frozen at start()
   // Typed-op metrics keyed by opcode; the map is frozen at start() (the

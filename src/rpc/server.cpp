@@ -448,20 +448,11 @@ void Service::restore_reply_floors(std::span<const std::uint8_t> floors) {
 }
 
 void Service::persist_reply_floor(const ClientKey& key, std::uint64_t seq) {
-  if (!reply_floor_sink_set_.load(std::memory_order_acquire)) {
+  if (!reply_floors_attached_.load(std::memory_order_acquire)) {
     return;
   }
-  std::function<std::uint64_t(Buffer)> sink;
-  std::shared_ptr<storage::GroupCommitter> committer;
-  {
-    const std::lock_guard lock(filter_mutex_);
-    sink = reply_floor_sink_;
-    committer = reply_committer_;
-  }
-  if (!sink) {
-    return;
-  }
-  std::uint64_t ticket = 0;
+  storage::GroupCommitter& committer = *reply_committer_;
+  storage::GroupCommitter::Ticket ticket = 0;
   {
     // One mutex covers update + encode + write: persists are totally
     // ordered, so a slower thread can never overwrite a newer image with
@@ -469,33 +460,24 @@ void Service::persist_reply_floor(const ClientKey& key, std::uint64_t seq) {
     const std::lock_guard lock(reply_floor_mutex_);
     PersistedClient& row = reply_floors_[key];
     row.floor = std::max(row.floor, seq);
-    ticket = sink(encode_reply_floors_locked());
+    ticket =
+        committer.enqueue_meta(kReplyFloorsKey, encode_reply_floors_locked());
   }
   // The claimed seq must be durable BEFORE the handler can journal any
   // effect: a crash in between loses the operation, never doubles it.
   // The wait runs outside the mutex, so concurrent claims keep piling
   // their floors into the same flush cycle (the committer coalesces the
   // per-key images; the newest -- containing every row here -- wins).
-  if (ticket != 0 && committer != nullptr) {
-    committer->wait_durable(ticket);
-  }
+  committer.wait_durable(ticket);
 }
 
 void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
                                  const net::Message& reply) {
-  if (!reply_floor_sink_set_.load(std::memory_order_acquire)) {
+  if (!reply_floors_attached_.load(std::memory_order_acquire)) {
     return;
   }
   if (reply.data.size() > kPersistedReplyMaxBytes) {
     return;  // too big for the rewritten-whole metadata image
-  }
-  std::function<std::uint64_t(Buffer)> sink;
-  {
-    const std::lock_guard lock(filter_mutex_);
-    sink = reply_floor_sink_;
-  }
-  if (!sink) {
-    return;
   }
   Writer body;
   encode_reply_body(reply, body);
@@ -507,7 +489,8 @@ void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
   }
   // Best effort: no durability wait (see the header comment) -- the
   // enqueue rides whatever flush cycle comes next.
-  (void)sink(encode_reply_floors_locked());
+  (void)reply_committer_->enqueue_meta(kReplyFloorsKey,
+                                       encode_reply_floors_locked());
 }
 
 void Service::set_info_detail(std::function<std::string()> provider) {
@@ -524,70 +507,49 @@ std::string Service::info_detail() const {
   return provider != nullptr ? provider() : std::string("role=standalone");
 }
 
-void Service::attach_durability(std::shared_ptr<storage::Backend> backend) {
-  attach_durability(std::move(backend), nullptr);
-}
-
 void Service::attach_durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
+  if (committer == nullptr) {
     return;
   }
-  // A replicated volume makes this service a replication primary: publish
-  // the role, peer count and shipping lag through std_info's detail line
-  // (docs/PROTOCOL.md §9.5).  A group committer likewise publishes its
-  // flush-pipeline counters (docs/PROTOCOL.md §8.5) -- under an async
-  // backend these are the observable proof that submissions are riding the
-  // ring (gc.sqe grows) rather than blocking the flusher.  The shared_ptrs
-  // keep the decorator/committer alive as long as the provider.
+  // The deployment line publishes the committer's flush-pipeline counters
+  // (docs/PROTOCOL.md §8.5) -- under an async backend these are the
+  // observable proof that submissions are riding the ring (gc.sqe grows)
+  // rather than blocking the flusher.  A replicated volume additionally
+  // makes this service a replication primary: publish the role, peer
+  // count and shipping lag (docs/PROTOCOL.md §9.5).  The shared_ptrs keep
+  // the decorator/committer alive as long as the provider.
+  const std::shared_ptr<storage::Backend>& backend = committer->backend();
   const auto replicated =
       std::dynamic_pointer_cast<storage::ReplicatedBackend>(backend);
-  if (replicated != nullptr || committer != nullptr) {
-    set_info_detail([replicated, committer] {
-      std::string line;
-      if (replicated != nullptr) {
-        replicated->heartbeat();  // refresh acked floors before reporting
-        const storage::ReplicatedBackend::Stats stats = replicated->stats();
-        line = "role=primary mode=";
-        line += to_string(stats.mode);
-        line += " peers=" + std::to_string(stats.peers.size());
-        line += " shipped=" + std::to_string(stats.shipped_lsn);
-        for (const auto& peer : stats.peers) {
-          line += " " + peer.name +
-                  ".lag=" + std::to_string(stats.shipped_lsn - peer.acked_lsn);
-        }
-      } else {
-        line = "role=standalone";
+  set_info_detail([replicated, committer] {
+    std::string line;
+    if (replicated != nullptr) {
+      replicated->heartbeat();  // refresh acked floors before reporting
+      const storage::ReplicatedBackend::Stats stats = replicated->stats();
+      line = "role=primary mode=";
+      line += to_string(stats.mode);
+      line += " peers=" + std::to_string(stats.peers.size());
+      line += " shipped=" + std::to_string(stats.shipped_lsn);
+      for (const auto& peer : stats.peers) {
+        line += " " + peer.name +
+                ".lag=" + std::to_string(stats.shipped_lsn - peer.acked_lsn);
       }
-      if (committer != nullptr) {
-        const storage::GroupCommitter::Stats gc = committer->stats();
-        line += " gc.groups=" + std::to_string(gc.groups);
-        line += " gc.inflight=" + std::to_string(gc.inflight_cycles);
-        line += " gc.sqe=" + std::to_string(gc.sqe_submitted);
-        line += " gc.cqe=" + std::to_string(gc.cqe_completed);
-        line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
-      }
-      return line;
-    });
-  }
-  restore_reply_floors(backend->get_meta(kReplyFloorsKey));
-  {
-    const std::lock_guard lock(filter_mutex_);
-    reply_committer_ = committer;
-    if (committer != nullptr) {
-      reply_floor_sink_ = [committer](Buffer image) {
-        return committer->enqueue_meta(kReplyFloorsKey, std::move(image));
-      };
     } else {
-      reply_floor_sink_ = [backend =
-                               std::move(backend)](const Buffer& image) {
-        backend->put_meta(kReplyFloorsKey, image);
-        return std::uint64_t{0};  // synchronous: already durable
-      };
+      line = "role=standalone";
     }
-  }
-  reply_floor_sink_set_.store(true, std::memory_order_release);
+    const storage::GroupCommitter::Stats gc = committer->stats();
+    line += " gc.groups=" + std::to_string(gc.groups);
+    line += " gc.inflight=" + std::to_string(gc.inflight_cycles);
+    line += " gc.sqe=" + std::to_string(gc.sqe_submitted);
+    line += " gc.cqe=" + std::to_string(gc.cqe_completed);
+    line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
+    return line;
+  });
+  restore_reply_floors(backend->get_meta(kReplyFloorsKey));
+  // Written once, before the release store publishes it to the workers.
+  reply_committer_ = std::move(committer);
+  reply_floors_attached_.store(true, std::memory_order_release);
 }
 
 net::Message Service::handle(const net::Delivery& request) {

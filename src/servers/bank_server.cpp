@@ -20,13 +20,8 @@ namespace {
 }  // namespace
 
 core::Durability<BankServer::Account> BankServer::durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
-    return {};
-  }
   core::Durability<Account> d;
-  d.backend = std::move(backend);
   d.committer = std::move(committer);
   d.encode = [](Writer& w, const Account& account) {
     w.u32(static_cast<std::uint32_t>(account.balances.size()));
@@ -53,9 +48,9 @@ BankServer::BankServer(net::Machine& machine, Port get_port,
                        std::uint64_t seed,
                        std::shared_ptr<storage::Backend> backend)
     : rpc::Service(machine, get_port, "bank"),
-      committer_(storage::GroupCommitter::create(backend)),
       store_(std::move(scheme), machine.fbox().listen_port(get_port), seed,
-             Store::kDefaultShards, durability(backend, committer_)) {
+             Store::kDefaultShards,
+             durability(storage::GroupCommitter::create(backend))) {
   if (store_.durability_stats().recovered) {
     // Restart path: the master account is already in the recovered table;
     // re-mint its capability instead of creating (and journaling) a new
@@ -75,7 +70,7 @@ BankServer::BankServer(net::Machine& machine, Port get_port,
     master.is_master = true;
     master_ = store_.create(std::move(master));
   }
-  attach_durability(std::move(backend), committer_);
+  attach_durability(store_.committer());
 
   rpc::register_std_ops(*this, store_);
   on(bank_ops::kCreateAccount,

@@ -7,13 +7,8 @@
 namespace amoeba::servers {
 
 core::Durability<std::uint32_t> BlockServer::durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
-    return {};
-  }
   core::Durability<std::uint32_t> d;
-  d.backend = std::move(backend);
   d.committer = std::move(committer);
   d.encode = [this](Writer& w, const std::uint32_t& index) {
     w.u32(index);
@@ -60,11 +55,11 @@ BlockServer::BlockServer(net::Machine& machine, Port get_port,
     : rpc::Service(machine, get_port, "block"),
       geometry_(geometry),
       disk_(geometry.block_count, geometry.block_size, geometry.write_once),
-      committer_(storage::GroupCommitter::create(backend)),
       store_(std::move(scheme),
              machine.fbox().listen_port(get_port), seed,
-             Store::kDefaultShards, durability(backend, committer_)) {
-  attach_durability(std::move(backend), committer_);
+             Store::kDefaultShards,
+             durability(storage::GroupCommitter::create(backend))) {
+  attach_durability(store_.committer());
   // std.destroy must free the disk block too, not just the slot.
   rpc::register_std_ops(
       *this, store_,

@@ -37,13 +37,8 @@ namespace {
 }  // namespace
 
 core::Durability<DirectoryServer::Directory> DirectoryServer::durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
-    return {};
-  }
   core::Durability<Directory> d;
-  d.backend = std::move(backend);
   d.committer = std::move(committer);
   d.encode = [](Writer& w, const Directory& dir) {
     w.u32(static_cast<std::uint32_t>(dir.size()));
@@ -70,10 +65,10 @@ DirectoryServer::DirectoryServer(
     std::shared_ptr<const core::ProtectionScheme> scheme, std::uint64_t seed,
     std::shared_ptr<storage::Backend> backend)
     : rpc::Service(machine, get_port, "directory"),
-      committer_(storage::GroupCommitter::create(backend)),
       store_(std::move(scheme), machine.fbox().listen_port(get_port), seed,
-             Store::kDefaultShards, durability(backend, committer_)) {
-  attach_durability(std::move(backend), committer_);
+             Store::kDefaultShards,
+             durability(storage::GroupCommitter::create(backend))) {
+  attach_durability(store_.committer());
   // std.destroy keeps the delete semantics: only empty directories die.
   rpc::register_std_ops(
       *this, store_,

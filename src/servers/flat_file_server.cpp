@@ -8,13 +8,8 @@
 namespace amoeba::servers {
 
 core::Durability<FlatFileServer::Inode> FlatFileServer::durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
-    return {};
-  }
   core::Durability<Inode> d;
-  d.backend = std::move(backend);
   d.committer = std::move(committer);
   d.encode = [](Writer& w, const Inode& inode) {
     w.u64(inode.size);
@@ -49,12 +44,12 @@ FlatFileServer::FlatFileServer(
     Port block_server_port,
     std::shared_ptr<storage::Backend> backend)
     : rpc::Service(machine, get_port, "flatfile"),
-      committer_(storage::GroupCommitter::create(backend)),
       store_(std::move(scheme), machine.fbox().listen_port(get_port), seed,
-             Store::kDefaultShards, durability(backend, committer_)),
+             Store::kDefaultShards,
+             durability(storage::GroupCommitter::create(backend))),
       transport_(machine, seed ^ 0xF17EULL),
       blocks_(transport_, block_server_port) {
-  attach_durability(std::move(backend), committer_);
+  attach_durability(store_.committer());
   // std.destroy must free the file's blocks and refund the payer too.
   rpc::register_std_ops(
       *this, store_,

@@ -139,10 +139,9 @@ class BankServer final : public rpc::Service {
   };
   using Store = core::ObjectStore<Account>;
 
-  /// Payload codec + backend wiring for the durable store (empty handle
-  /// when `backend` is null).
+  /// Payload codec + volume wiring for the durable store (in-memory when
+  /// `committer` is null).
   [[nodiscard]] static core::Durability<Account> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   [[nodiscard]] Result<bank_ops::BalanceReply> do_balance(
@@ -157,9 +156,6 @@ class BankServer final : public rpc::Service {
   // Account state lives in (and is locked by) the sharded store; transfers
   // hold both accounts' shard locks via open2.  Only the rate table needs
   // its own lock (written by set_conversion_rate, read by converts).
-  // Declared before store_: the store enqueues on it for its whole
-  // lifetime (destruction order tears the store down first).
-  std::shared_ptr<storage::GroupCommitter> committer_;
   Store store_;
   core::Capability master_;
   mutable std::shared_mutex rates_mutex_;

@@ -80,7 +80,6 @@ class BlockServer final : public rpc::Service {
   /// lock like every handler), decoding restores it.  disk_ is declared
   /// before store_ so recovery may touch it.
   [[nodiscard]] core::Durability<std::uint32_t> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   [[nodiscard]] Result<rpc::CapabilityReply> do_allocate();
@@ -95,9 +94,6 @@ class BlockServer final : public rpc::Service {
   Geometry geometry_;
   mutable std::mutex mutex_;  // guards disk_ (the store shards itself)
   SimDisk disk_;
-  // Declared before store_: the store enqueues on it for its whole
-  // lifetime (destruction order tears the store down first).
-  std::shared_ptr<storage::GroupCommitter> committer_;
   Store store_;
 };
 

@@ -97,7 +97,6 @@ class DirectoryServer final : public rpc::Service {
   using Store = core::ObjectStore<Directory>;
 
   [[nodiscard]] static core::Durability<Directory> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   [[nodiscard]] Result<rpc::CapabilityReply> do_lookup(
@@ -113,9 +112,6 @@ class DirectoryServer final : public rpc::Service {
 
   // No service-wide lock: each directory is exclusive under its shard
   // lock for the duration of the open() accessor.
-  // Declared before store_: the store enqueues on it for its whole
-  // lifetime (destruction order tears the store down first).
-  std::shared_ptr<storage::GroupCommitter> committer_;
   Store store_;
 };
 

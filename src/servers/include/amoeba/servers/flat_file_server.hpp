@@ -108,7 +108,6 @@ class FlatFileServer final : public rpc::Service {
   using Store = core::ObjectStore<Inode>;
 
   [[nodiscard]] static core::Durability<Inode> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   /// Charges `blocks` worth of space to the inode's payer; no-op when
@@ -132,9 +131,6 @@ class FlatFileServer final : public rpc::Service {
   // Inodes are exclusive under their shard lock while opened; a worker
   // holds that lock across its block-server RPCs, so writes to one file
   // serialize while different files proceed in parallel.
-  // Declared before store_: the store enqueues on it for its whole
-  // lifetime (destruction order tears the store down first).
-  std::shared_ptr<storage::GroupCommitter> committer_;
   Store store_;
   rpc::Transport transport_;  // for talking to the block (and bank) server
   BlockClient blocks_;

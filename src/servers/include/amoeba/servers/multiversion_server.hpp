@@ -118,7 +118,6 @@ class MultiVersionServer final : public rpc::Service {
   /// pages_mutex_ (taken AFTER a shard lock, matching every handler);
   /// pages_ is declared before store_ so recovery may fill it.
   [[nodiscard]] core::Durability<Payload> durability(
-      std::shared_ptr<storage::Backend> backend,
       std::shared_ptr<storage::GroupCommitter> committer);
 
   [[nodiscard]] Result<rpc::CapabilityReply> do_new_version(
@@ -143,9 +142,6 @@ class MultiVersionServer final : public rpc::Service {
   // durable store's recovery constructor rebuilds trees into it.
   mutable std::mutex pages_mutex_;
   PageStore pages_;
-  // Declared before store_: the store enqueues on it for its whole
-  // lifetime (destruction order tears the store down first).
-  std::shared_ptr<storage::GroupCommitter> committer_;
   Store store_;
 };
 

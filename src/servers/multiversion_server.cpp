@@ -3,13 +3,8 @@
 namespace amoeba::servers {
 
 core::Durability<MultiVersionServer::Payload> MultiVersionServer::durability(
-    std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
-  if (backend == nullptr) {
-    return {};
-  }
   core::Durability<Payload> d;
-  d.backend = std::move(backend);
   d.committer = std::move(committer);
   const auto encode_tree = [this](Writer& w, std::uint32_t root) {
     // Caller (an accessor flush or snapshot) holds the shard lock;
@@ -126,10 +121,10 @@ MultiVersionServer::MultiVersionServer(
     std::shared_ptr<storage::Backend> backend)
     : rpc::Service(machine, get_port, "multiversion"),
       pages_(page_size),
-      committer_(storage::GroupCommitter::create(backend)),
       store_(std::move(scheme), machine.fbox().listen_port(get_port), seed,
-             Store::kDefaultShards, durability(backend, committer_)) {
-  attach_durability(std::move(backend), committer_);
+             Store::kDefaultShards,
+             durability(storage::GroupCommitter::create(backend))) {
+  attach_durability(store_.committer());
   // std.destroy must release the page-tree references a plain slot
   // destroy would leak.
   rpc::register_std_ops(

@@ -1,7 +1,6 @@
 #include "amoeba/storage/backend.hpp"
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,6 +35,11 @@ IoCounters& this_thread_io_counters() {
 
 // ----------------------------------------------------------------- Backend
 
+void Backend::append_journal(std::size_t shard,
+                             std::span<const std::uint8_t> bytes) {
+  append_journal_batch({{shard, Buffer(bytes.begin(), bytes.end())}});
+}
+
 void Backend::submit_append_group(std::vector<ShardAppend>&& appends,
                                   AppendCompletion complete) {
   // Synchronous adapter: append_journal_batch is durable on return, so the
@@ -47,11 +51,7 @@ void Backend::submit_append_group(std::vector<ShardAppend>&& appends,
   } catch (...) {
     error = std::current_exception();
   }
-  if (complete) {
-    complete(error);
-  } else if (error) {
-    std::rethrow_exception(error);
-  }
+  complete(error);
 }
 
 // ----------------------------------------------------------- MemoryBackend
@@ -62,17 +62,6 @@ MemoryBackend::MemoryBackend(std::size_t shards) {
   for (std::size_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-void MemoryBackend::append_journal(std::size_t shard,
-                                   std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  {
-    const std::lock_guard lock(s.mutex);
-    s.journal.insert(s.journal.end(), bytes.begin(), bytes.end());
-  }
-  appends_.fetch_add(1, std::memory_order_relaxed);
-  hook_after_append();
 }
 
 void MemoryBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
@@ -311,25 +300,27 @@ void for_each_commit_entry(std::span<const std::uint8_t> log, Fn&& entry) {
 }  // namespace
 
 FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
-    : directory_(std::move(directory)) {
+    : directory_(std::move(directory)), snapshot_mutexes_(shards) {
   check_shards(shards);
   std::filesystem::create_directories(directory_);
+  // The older layout kept one journal file per shard next to commit.log.
+  // Nothing here reads those files any more, so a volume still holding
+  // journal bytes in one must be refused rather than opened with
+  // acknowledged records silently missing.
+  for (std::size_t s = 0; s < shards; ++s) {
+    const auto legacy =
+        directory_ / ("shard-" + std::to_string(s) + ".journal");
+    std::error_code ec;
+    if (std::filesystem::file_size(legacy, ec) > 0 && !ec) {
+      throw UsageError("FileBackend: " + legacy.string() +
+                       " is a per-shard journal from an older volume "
+                       "format; its records would be lost");
+    }
+  }
   dir_fd_ = ::open(directory_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dir_fd_ < 0) {
     throw UsageError("FileBackend: cannot open directory " +
                      directory_.string());
-  }
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->journal_fd =
-        ::open(journal_path(s).c_str(),
-               O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (shard->journal_fd < 0) {
-      throw UsageError("FileBackend: cannot open journal in " +
-                       directory_.string());
-    }
-    shards_.push_back(std::move(shard));
   }
   commit_fd_ = ::open(commit_log_path().c_str(),
                       O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
@@ -346,28 +337,19 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
   for (std::size_t s = 0; s < shards; ++s) {
     commit_floor_[s] = peek_snapshot_lsn(read_file(snapshot_path(s)));
   }
-  // Newly created journal/commit-log files live in the directory inode;
-  // without this fsync a crash could unlink them even after their contents
-  // were acknowledged durable.
+  // A newly created commit.log lives in the directory inode; without this
+  // fsync a crash could unlink it even after its contents were
+  // acknowledged durable.
   fsync_or_throw(dir_fd_, directory_, "volume open");
 }
 
 FileBackend::~FileBackend() {
-  for (const auto& shard : shards_) {
-    if (shard->journal_fd >= 0) {
-      ::close(shard->journal_fd);
-    }
-  }
   if (commit_fd_ >= 0) {
     ::close(commit_fd_);
   }
   if (dir_fd_ >= 0) {
     ::close(dir_fd_);
   }
-}
-
-std::filesystem::path FileBackend::journal_path(std::size_t shard) const {
-  return directory_ / ("shard-" + std::to_string(shard) + ".journal");
 }
 
 std::filesystem::path FileBackend::snapshot_path(std::size_t shard) const {
@@ -434,109 +416,8 @@ std::filesystem::path FileBackend::meta_path(std::string_view key) const {
   return directory_ / ("meta-" + escape_meta_key(key) + ".bin");
 }
 
-void FileBackend::append_journal(std::size_t shard,
-                                 std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
-  // A write-ahead append that did not reach the disk must not be reported
-  // as durable -- the store's caller would otherwise reply to a client
-  // with an effect the volume cannot recover.  Hence the real fsync; the
-  // per-record cost of this path is exactly what the group-commit flusher
-  // amortizes away.
-  write_all(s.journal_fd, bytes, directory_, "journal");
-  fsync_or_throw(s.journal_fd, directory_, "journal");
-}
-
-void FileBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
-  // A real disk offers no cross-file atomicity; per-shard gathered appends
-  // with torn-tail-tolerant framing are the honest contract here.  All
-  // entries of one shard go down as a single contiguous write (the flusher
-  // already concatenated its queue per shard, so the common case is one
-  // writev entry per touched shard), then ONE fsync per touched fd --
-  // grouping is where the whole PR's win comes from.
-  std::vector<std::size_t> touched;
-  touched.reserve(appends.size());
-  for (const ShardAppend& a : appends) {
-    touched.push_back(a.shard);
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const std::size_t shard : touched) {
-    Shard& s = *shards_.at(shard);
-    const std::lock_guard lock(s.mutex);
-    std::vector<iovec> iov;
-    for (const ShardAppend& a : appends) {
-      if (a.shard == shard && !a.bytes.empty()) {
-        iov.push_back({const_cast<std::uint8_t*>(a.bytes.data()),
-                       a.bytes.size()});
-      }
-    }
-    std::size_t at = 0;
-    while (at < iov.size()) {
-      const std::size_t batch = std::min<std::size_t>(iov.size() - at, 512);
-      ++this_thread_io_counters().writes;
-      ssize_t n = ::writev(s.journal_fd, iov.data() + at,
-                           static_cast<int>(batch));
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        throw UsageError("FileBackend: journal writev failed (" +
-                         std::string(std::strerror(errno)) + ") in " +
-                         directory_.string());
-      }
-      // Consume fully written iovecs; resume a partially written one with
-      // a plain write_all on its remainder (short writev tails are rare
-      // enough that simplicity beats iovec surgery).
-      while (at < iov.size() &&
-             n >= static_cast<ssize_t>(iov[at].iov_len)) {
-        n -= static_cast<ssize_t>(iov[at].iov_len);
-        ++at;
-      }
-      if (at < iov.size() && n > 0) {
-        const auto* base = static_cast<const std::uint8_t*>(iov[at].iov_base);
-        write_all(s.journal_fd,
-                  {base + n, iov[at].iov_len - static_cast<std::size_t>(n)},
-                  directory_, "journal");
-        ++at;
-      }
-    }
-    fsync_or_throw(s.journal_fd, directory_, "journal");
-  }
-}
-
 Buffer FileBackend::read_journal(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  // Both locks (std::scoped_lock's deadlock-avoiding acquire): the shard's
-  // own journal file and its commit-log records must come from one
-  // consistent instant.
-  const std::scoped_lock lock(s.mutex, commit_mutex_);
-  Buffer own = read_file(journal_path(shard));
-  const Buffer grouped = commit_log_records_locked(shard);
-  if (grouped.empty()) {
-    return own;
-  }
-  if (own.empty()) {
-    return grouped;
-  }
-  // Sync appends and group commits interleave in wall time, but each
-  // stamps the shard's monotone LSN sequence at encode time (under the
-  // store's shard lock), so an LSN merge reconstructs the true order.
-  const std::vector<Record> a = decode_journal(own);
-  const std::vector<Record> b = decode_journal(grouped);
-  Buffer merged;
-  merged.reserve(own.size() + grouped.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    const bool from_own =
-        j == b.size() || (i < a.size() && a[i].lsn <= b[j].lsn);
-    encode_record(from_own ? a[i++] : b[j++], merged);
-  }
-  return merged;
-}
-
-Buffer FileBackend::commit_log_records_locked(std::size_t shard) const {
+  const std::lock_guard lock(commit_mutex_);
   // An async subclass may still have acknowledged-to-nobody frames in
   // flight; recovery must read a log with every completed frame on it.
   quiesce_commit_locked();
@@ -573,30 +454,33 @@ void FileBackend::encode_group_frame(const std::vector<ShardAppend>& appends,
   patch_u32(frame, 4, frame_checksum(body));
 }
 
-void FileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
-                                      AppendCompletion complete) {
+void FileBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
+  // Shard numbers can arrive off the wire (a replica applying a shipped
+  // cycle); recovery would silently drop a run filed under no shard.
+  for (const ShardAppend& a : appends) {
+    if (a.shard >= shard_count()) {
+      throw UsageError("FileBackend: append to shard " +
+                       std::to_string(a.shard) + " of a " +
+                       std::to_string(shard_count()) + "-shard volume");
+    }
+  }
   std::erase_if(appends,
                 [](const ShardAppend& a) { return a.bytes.empty(); });
-  std::exception_ptr error;
-  try {
-    if (!appends.empty()) {
-      const std::lock_guard lock(commit_mutex_);
-      encode_group_frame(appends, commit_frame_);
-      // The whole point of the commit log: one contiguous write and ONE
-      // fsync make the entire group durable, where the per-shard journal
-      // files would pay one fsync per touched shard.
-      write_all(commit_fd_, commit_frame_, directory_, "commit log");
-      fsync_or_throw(commit_fd_, directory_, "commit log");
-      commit_log_bytes_ += commit_frame_.size();
-    }
-  } catch (...) {
-    error = std::current_exception();
+  if (appends.empty()) {
+    return;
   }
-  if (complete) {
-    complete(error);
-  } else if (error) {
-    std::rethrow_exception(error);
-  }
+  const std::lock_guard lock(commit_mutex_);
+  // A synchronous frame must never interleave with frames an async
+  // subclass still has in flight on the same log.
+  quiesce_commit_locked();
+  encode_group_frame(appends, commit_frame_);
+  // A write-ahead append that did not reach the disk must not be reported
+  // as durable -- the store's caller would otherwise reply to a client
+  // with an effect the volume cannot recover.  Hence the real fsync, once
+  // per group however many shards it spans.
+  write_all(commit_fd_, commit_frame_, directory_, "commit log");
+  fsync_or_throw(commit_fd_, directory_, "commit log");
+  commit_log_bytes_ += commit_frame_.size();
 }
 
 void FileBackend::replace_file_durably(const std::filesystem::path& path,
@@ -631,18 +515,8 @@ void FileBackend::replace_file_durably(const std::filesystem::path& path,
 
 void FileBackend::install_snapshot(std::size_t shard,
                                    std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
+  const std::lock_guard lock(snapshot_mutexes_.at(shard));
   replace_file_durably(snapshot_path(shard), bytes, "snapshot");
-  // Truncate the journal: records are replay-idempotent and LSN-gated, so
-  // a crash between the rename and this truncate only replays records the
-  // snapshot already holds.  O_APPEND repositions every later write, so
-  // the fd stays valid across the truncate.
-  if (::ftruncate(s.journal_fd, 0) != 0) {
-    throw UsageError("FileBackend: journal truncate failed in " +
-                     directory_.string());
-  }
-  fsync_or_throw(s.journal_fd, directory_, "journal");
   // Advance the commit-log GC floor (every record of this shard already in
   // the log was framed -- LSN-stamped -- before this snapshot was encoded,
   // so the snapshot subsumes them all), and rewrite the log once it has
@@ -670,7 +544,7 @@ void FileBackend::gc_commit_log_locked() {
   // and a record's LSN sits at a fixed offset, so surviving frames are
   // copied as opaque spans -- no record decode, no per-record allocation.
   const Buffer log = read_file(commit_log_path());
-  std::vector<Buffer> per_shard(shards_.size());
+  std::vector<Buffer> per_shard(shard_count());
   for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
     if (sh >= per_shard.size()) {
       return;
@@ -732,8 +606,7 @@ void FileBackend::gc_commit_log_locked() {
 }
 
 Buffer FileBackend::read_snapshot(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
+  const std::lock_guard lock(snapshot_mutexes_.at(shard));
   return read_file(snapshot_path(shard));
 }
 
@@ -765,11 +638,8 @@ std::vector<std::string> FileBackend::meta_keys() const {
 }
 
 bool FileBackend::empty() const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  for (std::size_t s = 0; s < shard_count(); ++s) {
     std::error_code ec;
-    if (std::filesystem::file_size(journal_path(s), ec) > 0 && !ec) {
-      return false;
-    }
     if (std::filesystem::exists(snapshot_path(s), ec)) {
       return false;
     }

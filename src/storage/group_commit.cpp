@@ -10,6 +10,13 @@
 namespace amoeba::storage {
 namespace {
 
+/// Longest the flusher holds a claim to let concurrent mutators grow the
+/// cycle; cut short the moment a thread blocks in wait_durable.
+constexpr std::chrono::microseconds kLingerCeiling{200};
+/// Submitted-but-uncompleted cycles an async backend may have before the
+/// flusher stops claiming (a sync backend completes inline: never > 1).
+constexpr std::size_t kMaxInflightCycles = 4;
+
 [[nodiscard]] std::string describe(const std::exception_ptr& error) {
   try {
     std::rethrow_exception(error);
@@ -22,19 +29,17 @@ namespace {
 
 }  // namespace
 
-GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend,
-                               Options options)
-    : backend_(std::move(backend)), options_(options) {
+GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend)
+    : backend_(std::move(backend)) {
   if (backend_ == nullptr) {
     throw UsageError("GroupCommitter: null backend");
   }
   pending_.resize(backend_->shard_count());
   // A replicated volume binds itself to its committer: every flush cycle
   // then ships through the post-flush hook (the exact bytes that hit the
-  // local disk, ack-mode wait included), and the decorator's own append
-  // paths stand down for committer traffic.  Wiring this here means a
-  // server gains replication by being handed a ReplicatedBackend --
-  // no server code changes.
+  // local disk, ack-mode wait included).  Wiring this here means a server
+  // gains replication by being handed a ReplicatedBackend -- no server
+  // code changes.
   if (auto* replicated = dynamic_cast<ReplicatedBackend*>(backend_.get())) {
     replicated->bind_committer(*this);
   }
@@ -52,31 +57,9 @@ GroupCommitter::~GroupCommitter() {
 }
 
 std::shared_ptr<GroupCommitter> GroupCommitter::create(
-    const std::shared_ptr<Backend>& backend, Options options) {
+    const std::shared_ptr<Backend>& backend) {
   return backend == nullptr ? nullptr
-                            : std::make_shared<GroupCommitter>(backend,
-                                                               options);
-}
-
-GroupCommitter::Ticket GroupCommitter::enqueue(
-    std::size_t shard, std::span<const std::uint8_t> bytes) {
-  bool wake;
-  Ticket ticket;
-  {
-    const std::lock_guard lock(mutex_);
-    Buffer& pending = pending_.at(shard);
-    if (pending.empty()) {
-      dirty_shards_.push_back(shard);
-    }
-    pending.insert(pending.end(), bytes.begin(), bytes.end());
-    ++pending_records_;
-    wake = flusher_waiting_;  // batched wakeup: see enqueue_with
-    ticket = ++issued_;
-  }
-  if (wake) {
-    work_cv_.notify_one();
-  }
-  return ticket;
+                            : std::make_shared<GroupCommitter>(backend);
 }
 
 GroupCommitter::Ticket GroupCommitter::enqueue_group(
@@ -259,11 +242,6 @@ void GroupCommitter::drain_completions_locked(
 }
 
 void GroupCommitter::flusher(const std::stop_token& stop) {
-  const auto ceiling =
-      options_.flush_interval.count() > 0
-          ? options_.flush_interval
-          : (options_.adaptive_linger ? Options::kDefaultLingerCeiling
-                                      : std::chrono::microseconds{0});
   const IoCounters& io = this_thread_io_counters();
   std::unique_lock lock(mutex_);
   for (;;) {
@@ -275,18 +253,13 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     if (!failure_.empty() || issued_ == taken_) {
       break;  // latched, or stopped with an empty queue
     }
-    if (ceiling.count() > 0 && !stop.stop_requested()) {
+    if (!stop.stop_requested()) {
       const auto start = std::chrono::steady_clock::now();
-      if (options_.adaptive_linger) {
-        // Grow the cycle while nobody is blocked on it; a waiter's
-        // arrival (wait_durable notifies) collapses the linger at once.
-        work_cv_.wait_until(lock, start + ceiling, [&] {
-          return waiters_ > 0 || stop.stop_requested() || !failure_.empty();
-        });
-      } else {
-        work_cv_.wait_for(lock, ceiling,
-                          [&] { return stop.stop_requested(); });
-      }
+      // Grow the cycle while nobody is blocked on it; a waiter's arrival
+      // (wait_durable notifies) collapses the linger at once.
+      work_cv_.wait_until(lock, start + kLingerCeiling, [&] {
+        return waiters_ > 0 || stop.stop_requested() || !failure_.empty();
+      });
       stats_.linger_us_current = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - start)
@@ -299,7 +272,7 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     // growing while we wait here, which is the "widen under backlog" half
     // of the pacing (the ring amortizes, the queue batches).
     inflight_cv_.wait(lock, [&] {
-      return inflight_.size() < options_.max_inflight_cycles ||
+      return inflight_.size() < kMaxInflightCycles ||
              !failure_.empty() || stop.stop_requested();
     });
     if (!failure_.empty()) {

@@ -2,33 +2,31 @@
 //
 // A Backend is one "disk" holding, per shard, an append-only journal and
 // the most recent snapshot, plus a small named-metadata area (the reply-
-// cache floors of rpc::Service live there).  Two implementations:
+// cache floors of rpc::Service live there).  Every journal write reaches
+// a volume through its GroupCommitter (storage/group_commit.hpp), which
+// hands each flush cycle to submit_append_group(); the one synchronous
+// primitive underneath is append_journal_batch().  Two implementations:
 //
-//   * MemoryBackend -- byte-for-byte the same layout in process memory.
-//     The crash/restart test harness runs on it: an append hook fires at
-//     every journal barrier (after the Nth append), and capture() deep-
+//   * MemoryBackend -- the same layout in process memory.  The crash/
+//     restart test harness runs on it: an append hook fires at every
+//     journal barrier (after each append group), and capture() deep-
 //     copies the whole volume under its locks -- exactly the disk image a
 //     machine losing power at that instant would leave behind.  Recovery
 //     from a captured image IS the simulated crash+restart.
-//   * FileBackend -- one directory on the real filesystem
-//     (shard-N.journal / shard-N.snap / meta-KEY / commit.log), journals
-//     appended through raw fds and fsync'd per append group
-//     (std::ofstream::flush() only reaches the page cache, not the
-//     platter), snapshots and metadata installed via write-temp + fsync +
-//     rename + directory fsync.  Group-committed appends
-//     (submit_append_group) land in commit.log as ONE checksummed frame
-//     per group -- one write(2), one fsync(2), regardless of how many
-//     shards the group touches -- and recovery merges commit-log records
-//     into each shard's journal by LSN.  This is the durable deployment
-//     shape and what bench_e14 measures.
+//   * FileBackend -- one directory on the real filesystem holding ONE log
+//     per volume (commit.log), plus shard-N.snap and meta-KEY.bin.  Each
+//     append group lands in commit.log as one checksummed frame -- one
+//     write(2), one fsync(2), however many shards it touches -- so a torn
+//     tail drops the whole group and a multi-shard group is atomic on the
+//     real disk.  Snapshots and metadata are installed via write-temp +
+//     fsync + rename + directory fsync (std::ofstream::flush() only
+//     reaches the page cache, not the platter).
 //
-// Concurrency: every method is thread-safe.  Journals of different shards
-// never contend (per-shard locks), which is what lets journaling ride the
-// object store's per-shard mutexes without reintroducing a global lock on
-// the PR-1 hot path.  append_journal_batch() appends to several shards
-// ATOMICALLY with respect to capture(): a two-shard mutation (a bank
-// transfer's debit+credit) is either entirely on the captured image or not
-// at all, so a crash cannot tear money in half.
+// Concurrency: every method is thread-safe.  append_journal_batch()
+// appends to several shards ATOMICALLY with respect to capture() and
+// recovery: a two-shard mutation (a bank transfer's debit+credit) is
+// either entirely on the image or not at all, so a crash cannot tear
+// money in half.
 #pragma once
 
 #include <atomic>
@@ -88,23 +86,23 @@ class Backend {
   /// be sharded identically (object number -> shard mapping is layout).
   [[nodiscard]] virtual std::size_t shard_count() const = 0;
 
-  /// Appends one framed record to a shard's journal (durable on return).
-  virtual void append_journal(std::size_t shard,
-                              std::span<const std::uint8_t> bytes) = 0;
-
   /// Appends to several shards' journals as one atomic group with respect
-  /// to capture()/recovery images (all appended or none on the image).
+  /// to capture()/recovery images (all appended or none on the image),
+  /// durable on return.  The one synchronous journal primitive.
   virtual void append_journal_batch(std::vector<ShardAppend>&& appends) = 0;
 
+  /// One record to one shard: forwards to append_journal_batch().
+  virtual void append_journal(std::size_t shard,
+                              std::span<const std::uint8_t> bytes);
+
   /// Submit/complete-shaped async append: appends the whole group with the
-  /// same capture() atomicity as append_journal_batch() and invokes
-  /// `complete` exactly once -- with a null exception_ptr when every byte
-  /// is durable, with the failure otherwise.  The base implementation is
-  /// the synchronous adapter (append, then complete inline on the calling
+  /// same atomicity as append_journal_batch() and invokes `complete`
+  /// exactly once -- with a null exception_ptr when every byte is durable,
+  /// with the failure otherwise.  The base implementation is the
+  /// synchronous adapter (append, then complete inline on the calling
   /// thread); UringFileBackend overrides it to submit to its ring and
-  /// complete from the reaping side, and the group-commit flusher
-  /// (storage/group_commit.hpp) is its only caller -- so such a backend
-  /// drops in without touching the object store.  Completions of
+  /// complete from the reaping side.  The group-commit flusher
+  /// (storage/group_commit.hpp) is its only caller.  Completions of
   /// successive calls fire in submission order (the commit log is a
   /// sequential structure; recovery depends on it having no gaps).
   virtual void submit_append_group(std::vector<ShardAppend>&& appends,
@@ -113,12 +111,13 @@ class Backend {
   /// Submission-pipeline counters; all-zero/sync for blocking backends.
   [[nodiscard]] virtual AsyncIoStats async_io_stats() const { return {}; }
 
-  /// Whole-journal read (recovery).
+  /// Whole-journal read (recovery): the shard's records in append order.
+  /// May still include records an installed snapshot subsumes (lsn <= its
+  /// applied LSN); replay skips those.
   [[nodiscard]] virtual Buffer read_journal(std::size_t shard) const = 0;
 
-  /// Atomically replaces the shard's snapshot AND truncates its journal
-  /// (log compaction).  Replay-idempotent records make the file-backend
-  /// window between rename and truncate harmless.
+  /// Atomically replaces the shard's snapshot (log compaction); the
+  /// journal records it subsumes become garbage the volume may drop.
   virtual void install_snapshot(std::size_t shard,
                                 std::span<const std::uint8_t> bytes) = 0;
 
@@ -145,8 +144,6 @@ class MemoryBackend final : public Backend {
   explicit MemoryBackend(std::size_t shards = 16);
 
   [[nodiscard]] std::size_t shard_count() const override { return shards_.size(); }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
@@ -194,28 +191,27 @@ class MemoryBackend final : public Backend {
 
 /// Directory-on-disk volume: the durable deployment backend.  Not final:
 /// UringFileBackend (storage/uring_backend.hpp) subclasses it, replacing
-/// only the commit-log append with ring submission -- every recovery,
-/// snapshot, and metadata path is shared.
+/// only the asynchronous commit-log append with ring submission -- every
+/// recovery, snapshot, and metadata path is shared.
 class FileBackend : public Backend {
  public:
   /// Creates the directory if needed; an existing volume must have been
-  /// written with the same shard count.
+  /// written with the same shard count.  Throws UsageError, naming the
+  /// file, when the directory holds a non-empty shard-N.journal from the
+  /// older per-shard journal format: this backend never reads those
+  /// files, and opening the volume anyway would silently drop records
+  /// that were acknowledged durable.
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 
-  [[nodiscard]] std::size_t shard_count() const override { return shards_.size(); }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
+  [[nodiscard]] std::size_t shard_count() const override {
+    return snapshot_mutexes_.size();
+  }
+  /// The whole group goes down as ONE checksummed frame in commit.log --
+  /// one write, one fsync, however many shards it spans.  A torn frame
+  /// drops the whole group at recovery, which is what gives a multi-shard
+  /// group real on-disk atomicity.
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
-  /// Group commit: the whole group goes down as ONE checksummed frame in
-  /// the volume-wide commit.log -- one write, one fsync, however many
-  /// shards it spans.  Beyond amortizing the fsync (this is where the
-  /// flusher's batching actually reaches the platter), the single frame
-  /// gives a multi-shard group REAL on-disk atomicity: per-shard journal
-  /// files can always tear a pair between two files' fsyncs, a torn
-  /// commit-log frame drops the whole group at recovery.
-  void submit_append_group(std::vector<ShardAppend>&& appends,
-                           AppendCompletion complete) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
@@ -233,24 +229,24 @@ class FileBackend : public Backend {
  protected:
   /// Encodes `appends` as one complete commit-log group frame
   /// (`length u32 | checksum u32 | body`) into `frame` (cleared first).
-  /// Shared by the sync append below and the ring submission path.
+  /// Shared by the sync append above and the ring submission path.
   static void encode_group_frame(const std::vector<ShardAppend>& appends,
                                  Buffer& frame);
 
-  /// Called with commit_mutex_ held before any read of commit.log that
-  /// must observe every acknowledged frame (recovery merge, GC, empty())
-  /// and before gc_commit_log_locked() swaps commit_fd_ to a new inode.
-  /// The base backend writes synchronously, so there is never in-flight
-  /// I/O to wait out; UringFileBackend overrides this to drain its ring.
-  /// Must NOT be called from a completion/reaper context (commit_mutex_
-  /// ordering: reaper threads never take it).
+  /// Called with commit_mutex_ held before any read or write of
+  /// commit.log that must not overlap in-flight I/O: recovery reads, GC,
+  /// empty(), the synchronous frame append, and gc_commit_log_locked()'s
+  /// swap of commit_fd_ to a new inode.  The base backend writes
+  /// synchronously, so there is never in-flight I/O to wait out;
+  /// UringFileBackend overrides this to drain its ring.  Must NOT be
+  /// called from a completion/reaper context (commit_mutex_ ordering:
+  /// reaper threads never take it).
   virtual void quiesce_commit_locked() const {}
 
   /// Commit-log state, all guarded by commit_mutex_.  Lock order: a shard
-  /// mutex (when held at all) is taken BEFORE commit_mutex_; the flusher
-  /// takes only commit_mutex_ and never touches the per-shard fds.
-  /// Protected rather than private so UringFileBackend's submission path
-  /// can append to the same log under the same lock.
+  /// mutex (when held at all) is taken BEFORE commit_mutex_.  Protected
+  /// rather than private so UringFileBackend's submission path can append
+  /// to the same log under the same lock.
   mutable std::mutex commit_mutex_;
   int commit_fd_ = -1;  // O_APPEND; one fsync per group frame
   std::uint64_t commit_log_bytes_ = 0;
@@ -259,12 +255,6 @@ class FileBackend : public Backend {
   [[nodiscard]] std::filesystem::path commit_log_path() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    int journal_fd = -1;  // O_APPEND; fsync'd per append group
-  };
-
-  [[nodiscard]] std::filesystem::path journal_path(std::size_t shard) const;
   [[nodiscard]] std::filesystem::path snapshot_path(std::size_t shard) const;
   [[nodiscard]] std::filesystem::path meta_path(std::string_view key) const;
   /// write-temp + fsync + rename + directory fsync (the full atomic
@@ -273,17 +263,14 @@ class FileBackend : public Backend {
   void replace_file_durably(const std::filesystem::path& path,
                             std::span<const std::uint8_t> bytes,
                             const char* what);
-  /// Concatenated framed records for `shard` extracted from commit.log,
-  /// in append order (= ascending LSN per shard).  Caller holds
-  /// commit_mutex_.
-  [[nodiscard]] Buffer commit_log_records_locked(std::size_t shard) const;
   /// Rewrites commit.log dropping every record a shard snapshot already
   /// subsumes (lsn <= that shard's floor).  Caller holds commit_mutex_.
   void gc_commit_log_locked();
 
   std::filesystem::path directory_;
   int dir_fd_ = -1;  // fsync'd after every rename into the directory
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// One per shard; serializes that shard's snapshot install and read.
+  mutable std::vector<std::mutex> snapshot_mutexes_;
   mutable std::mutex meta_mutex_;
   std::uint64_t commit_gc_low_ = 0;  // log size after the last GC rewrite
   std::vector<std::uint64_t> commit_floor_;  // per-shard snapshot applied LSN

@@ -1,13 +1,12 @@
 // Group commit: one asynchronous flusher amortizing many journal appends
-// into one backend write per cycle.
+// into one backend write per cycle.  It is the only way a store or service
+// writes to its volume: a caller that needs "durable on return" enqueues
+// and waits on its ticket.
 //
-// PR 5 made every state change durable by appending (and, on FileBackend,
-// flushing) one record at a time on the mutator thread -- correct, but the
-// pure-mutate path paid a full backend round trip per record.  The classic
-// fix is group commit: mutators ENCODE their record under the shard lock,
-// ENQUEUE it here (receiving a monotonically increasing commit ticket),
-// RELEASE the lock, and block -- or carry the ticket as a future and keep
-// going -- until the flusher reports the ticket durable.  One flusher per
+// Mutators ENCODE their record under the shard lock, ENQUEUE it here
+// (receiving a monotonically increasing commit ticket), RELEASE the lock,
+// and block -- or carry the ticket as a future and keep going -- until
+// the flusher reports the ticket durable.  One flusher per
 // volume drains every shard's pending bytes and issues a single multi-shard
 // submit_append_group() per cycle: one gather write and one fsync cover
 // every record that piled up while the previous fsync was in flight, which
@@ -20,14 +19,22 @@
 //     never reports a ticket whose bytes a crash image could lack.
 //   * enqueue_group() places all entries under one queue-mutex hold, so a
 //     flush cycle carries a multi-shard group entirely or not at all; the
-//     backend's append_journal_batch atomicity w.r.t. capture() then keeps
-//     a bank transfer's debit+credit untearable, exactly as in the
-//     synchronous path.
+//     backend's group atomicity w.r.t. capture() and recovery then keeps
+//     a bank transfer's debit+credit untearable.
 //   * Metadata (the rpc reply-cache image) rides the same cycles through
 //     enqueue_meta(), coalesced latest-image-wins per key, and is written
 //     BEFORE the cycle's journal appends -- a crash image may hold a
 //     reply-cache floor without its effect (operation lost, safe) but
 //     never an effect without its floor (operation doubled, fatal).
+//
+// Pacing is fixed, not tuned per caller.  The flusher lingers on a claim
+// (growing the cycle, up to a 200 us ceiling) only while NO thread is
+// blocked in wait_durable -- the moment a waiter arrives the linger
+// collapses and the cycle flushes -- so pipelined mutators
+// (release_async) get wide cycles while synchronous waiters keep their
+// immediate-flush latency.  On an async backend at most 4 submitted cycles
+// may be awaiting completion before the flusher stops claiming; the queue
+// keeps growing meanwhile.
 //
 // A backend write failure (disk full) latches the committer into a failed
 // state: wait_durable() then throws instead of ever reporting durability
@@ -52,38 +59,11 @@
 
 namespace amoeba::storage {
 
-/// Tuning of one GroupCommitter.
-struct GroupCommitOptions {
-  /// CEILING of the flusher's linger: the longest it may hold a claim to
-  /// let concurrent mutators grow the group.  0 (the default) leaves the
-  /// adaptive policy its built-in ceiling (kDefaultLingerCeiling); with
-  /// adaptive_linger off, 0 means flush immediately and a nonzero value
-  /// is an unconditional fixed linger (the old --flush-interval knob).
-  std::chrono::microseconds flush_interval{0};
-  /// Waiter-gated pacing: the flusher lingers (growing the cycle, up to
-  /// the ceiling) only while NO thread is blocked in wait_durable -- the
-  /// moment a waiter arrives the linger collapses and the cycle flushes.
-  /// Pipelined mutators (release_async) therefore get wide cycles and few
-  /// condvar round trips -- the fix for the grouped-memory > sync-memory
-  /// inversion bench_e14 exposed on one core -- while synchronous waiters
-  /// keep their immediate-flush latency.
-  bool adaptive_linger = true;
-  /// Backpressure for async backends: how many submitted-but-uncompleted
-  /// flush cycles may be outstanding before the flusher stops claiming.
-  /// Irrelevant for sync backends (completion is inline, so the count
-  /// never exceeds one).
-  std::size_t max_inflight_cycles = 4;
-
-  static constexpr std::chrono::microseconds kDefaultLingerCeiling{200};
-};
-
 class GroupCommitter {
  public:
   /// Volume-wide commit sequence number; 0 means "nothing to wait for"
   /// (what in-memory paths hand around so callers need no null checks).
   using Ticket = std::uint64_t;
-
-  using Options = GroupCommitOptions;
 
   struct Stats {
     std::uint64_t groups = 0;        // flush cycles that reached the backend
@@ -116,8 +96,7 @@ class GroupCommitter {
   };
   using PostFlushHook = std::function<void(const FlushCycle&)>;
 
-  explicit GroupCommitter(std::shared_ptr<Backend> backend,
-                          Options options = {});
+  explicit GroupCommitter(std::shared_ptr<Backend> backend);
   /// Drains every pending enqueue to the backend, then joins the flusher.
   ~GroupCommitter();
 
@@ -127,20 +106,15 @@ class GroupCommitter {
   /// Null-safe factory: a committer for `backend`, or null when `backend`
   /// is null (the in-memory server constructors pass the null through).
   [[nodiscard]] static std::shared_ptr<GroupCommitter> create(
-      const std::shared_ptr<Backend>& backend, Options options = {});
+      const std::shared_ptr<Backend>& backend);
 
-  /// Queues one framed record for `shard`'s journal; the bytes are copied
-  /// (the caller typically hands a per-shard scratch buffer it will reuse).
-  [[nodiscard]] Ticket enqueue(std::size_t shard,
-                               std::span<const std::uint8_t> bytes);
-
-  /// Like enqueue(), but the caller ENCODES the record directly into the
-  /// committer's staging buffer instead of handing over pre-framed bytes:
-  /// `encode(Buffer&)` must APPEND exactly one framed record to the buffer
-  /// it is given and touch nothing else.  This skips the frame-to-scratch
-  /// copy of the enqueue() path (the remaining single-core group-commit
-  /// lever ROADMAP flags).  The callback runs with the committer's queue
-  /// mutex held -- it must not block, enqueue, or wait on this committer.
+  /// Queues one record for `shard`'s journal, the caller ENCODING it
+  /// directly into the committer's staging buffer instead of handing over
+  /// pre-framed bytes: `encode(Buffer&)` must APPEND exactly one framed
+  /// record to the buffer it is given and leave its earlier bytes alone
+  /// (no frame-to-scratch copy).  The callback runs with the committer's
+  /// queue mutex held -- it must not block, enqueue, or wait on this
+  /// committer.
   template <typename EncodeFn>
   [[nodiscard]] Ticket enqueue_with(std::size_t shard, EncodeFn&& encode) {
     bool wake;
@@ -165,6 +139,14 @@ class GroupCommitter {
       work_cv_.notify_one();
     }
     return ticket;
+  }
+
+  /// Queues one pre-framed record for `shard`'s journal (bytes copied).
+  [[nodiscard]] Ticket enqueue(std::size_t shard,
+                               std::span<const std::uint8_t> bytes) {
+    return enqueue_with(shard, [&](Buffer& staging) {
+      staging.insert(staging.end(), bytes.begin(), bytes.end());
+    });
   }
 
   /// Queues a multi-shard record group under ONE mutex hold, so no flush
@@ -232,7 +214,6 @@ class GroupCommitter {
   void drain_completions_locked(std::unique_lock<std::mutex>& lock);
 
   std::shared_ptr<Backend> backend_;
-  Options options_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;            // wakes the flusher

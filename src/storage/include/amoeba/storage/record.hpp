@@ -43,9 +43,9 @@ enum class RecordType : std::uint8_t {
 /// object image (valid for create/mutate); `secret` is the check-field
 /// secret (valid for create/rotate).  `lsn` is the shard-local log
 /// sequence number: replay skips records at or below the snapshot's
-/// applied LSN, which makes the file backend's crash window between
-/// snapshot rename and journal truncate harmless (stale records replay as
-/// no-ops instead of regressing payloads).
+/// applied LSN, so records a snapshot subsumes but the log still holds
+/// (commit.log is compacted lazily) replay as no-ops instead of
+/// regressing payloads.
 struct Record {
   RecordType type = RecordType::create;
   ObjectNumber object;

@@ -50,16 +50,18 @@ class ReplicaApplier {
   /// floor are acknowledged as duplicates).
   explicit ReplicaApplier(std::shared_ptr<Backend> local);
 
-  /// Applies one encoded cycle frame (replication/wire.hpp).  Returns the
+  /// Applies one encoded cycle frame (replication/wire.hpp): its metadata
+  /// images, then its journal runs as one append_journal_batch() group (one
+  /// commit.log frame and one fsync on a FileBackend).  Returns the
   /// applied floor on success and for suppressed duplicates;
   /// `invalid_argument` for a torn/corrupt frame, `conflict` for a gap,
   /// `immutable` once promoted.
   [[nodiscard]] Result<std::uint64_t> apply_cycle(
       std::span<const std::uint8_t> frame);
 
-  /// Applies one shipped shard snapshot (replaces the shard's snapshot and
-  /// truncates its journal, like local compaction) and adopts `rep_lsn` as
-  /// the floor.  Same duplicate/promoted answers as apply_cycle.
+  /// Applies one shipped shard snapshot (replaces the shard's snapshot,
+  /// like local compaction) and adopts `rep_lsn` as the floor.  Same
+  /// duplicate/promoted answers as apply_cycle.
   [[nodiscard]] Result<std::uint64_t> install_snapshot(
       std::uint64_t rep_lsn, std::size_t shard,
       std::span<const std::uint8_t> bytes);

@@ -2,21 +2,14 @@
 //
 // ReplicatedBackend is a Backend decorator: reads go straight to the
 // wrapped local volume, writes land locally FIRST and are then shipped to
-// every attached backup as LSN-stamped shipments.  Which writes ship as
-// what depends on how the volume is driven:
+// every attached backup as LSN-stamped shipments:
 //
-//   * Under a GroupCommitter (the normal server arrangement) the committer
-//     binds itself at construction and the post-flush hook ships each
-//     flush cycle as ONE cycle frame -- the exact metadata images and
-//     journal bytes that just hit the local disk.  The decorator's own
-//     append/put_meta paths then stand down (forward-only), so a cycle is
-//     never shipped twice.
-//   * Driven directly (no committer -- the synchronous-durability
-//     arrangement), each append/batch/meta write ships as its own
-//     mini-cycle.  Per-shard ordering is preserved because the store holds
-//     the shard lock across the local write and the enqueue.
-//   * install_snapshot (compaction) always ships, under either
-//     arrangement: backups compact when the primary does.
+//   * The GroupCommitter driving the volume binds itself at construction,
+//     and its post-flush hook ships each flush cycle as ONE cycle frame --
+//     the exact metadata images and journal bytes that just hit the local
+//     disk.  The decorator's own append/put_meta paths only forward.
+//   * install_snapshot (compaction) ships from the decorator itself:
+//     backups compact when the primary does.
 //
 // The ack mode decides when a mutator's durability wait releases:
 //   async    local disk only; shipping is fire-and-forget.
@@ -34,7 +27,6 @@
 // shipments MOVE the replica floor rather than gap-checking against it).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -98,10 +90,8 @@ class ReplicatedBackend final : public Backend {
   /// a dead backup must not hang shutdown), then joins the shippers.
   ~ReplicatedBackend() override;
 
-  // --- Backend: reads forward, writes land locally then ship. ---
+  // --- Backend: reads and writes forward; cycles ship from the hook. ---
   [[nodiscard]] std::size_t shard_count() const override;
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
   void submit_append_group(std::vector<ShardAppend>&& appends,
                            AppendCompletion complete) override;
@@ -130,9 +120,7 @@ class ReplicatedBackend final : public Backend {
   void attach_peer(std::shared_ptr<ReplicationLink> link);
 
   /// Called by the GroupCommitter constructor when it finds this decorator
-  /// as its backend: installs the cycle-shipping post-flush hook and
-  /// switches the append/meta paths to forward-only.  Throws UsageError on
-  /// a second bind (one committer per volume).
+  /// as its backend: installs the cycle-shipping post-flush hook.
   void bind_committer(GroupCommitter& committer);
 
   struct PeerStats {
@@ -183,9 +171,6 @@ class ReplicatedBackend final : public Backend {
   /// UsageError if a backup answered `immutable` (it was promoted: this
   /// primary is fenced and must stop reporting durability).
   void await_acks(const std::shared_ptr<Shipment>& shipment);
-  /// Encodes + broadcasts one direct-path mini-cycle, then waits.
-  void ship_mini_cycle(std::span<const MetaImage> metas,
-                       std::span<const ShardAppend> appends);
   /// Ships one committer flush cycle (the post-flush hook body).
   void ship_group_cycle(
       const std::map<std::string, Buffer, std::less<>>& metas,
@@ -197,10 +182,6 @@ class ReplicatedBackend final : public Backend {
 
   std::shared_ptr<Backend> local_;
   const AckMode mode_;
-  /// True once a GroupCommitter bound itself: append/meta traffic then
-  /// arrives via the flusher and ships through the hook, so the direct
-  /// paths forward without shipping.  Set before the flusher starts.
-  std::atomic<bool> committer_bound_{false};
 
   mutable std::mutex mutex_;  // orders LSN assignment + queue pushes
   std::uint64_t next_lsn_ = 0;

@@ -262,6 +262,11 @@ class ReplicationSuite : public ::testing::Test {
 
   /// Polls until every queued shipment is acked (async-mode catch-up).
   [[nodiscard]] bool wait_synced() {
+    // A reply body is persisted best effort: its image is enqueued before
+    // the reply leaves, but the flush cycle that writes it locally and
+    // then ships it can still be running after the client has the reply.
+    // Drain the committer first so the shipment counters cover it.
+    bank_->committer()->drain();
     for (int i = 0; i < 2000; ++i) {
       replicated_->heartbeat();
       const auto stats = replicated_->stats();
@@ -420,39 +425,39 @@ TEST_F(ReplicationSuite, PromotedBackupFencesTheDeposedPrimary) {
   EXPECT_FALSE(fenced.ok());
 }
 
-TEST_F(ReplicationSuite, DirectPathShipsMiniCyclesWithoutACommitter) {
-  // No committer, no server: drive the decorator's own Backend interface
-  // (the synchronous-durability arrangement).
-  auto direct = rpc::replicate_to(
+TEST_F(ReplicationSuite, CyclesAndCompactionShipButRepKeysStayPrivate) {
+  // No server: drive a committer over the decorator directly.
+  auto primary = rpc::replicate_to(
       local_, storage::AckMode::ack_one, bank_machine_, 31,
       {{"backup", replica_->volume_capability()}});
+  storage::GroupCommitter committer(primary);
   const Buffer record = {0x01, 0x02, 0x03};
-  direct->append_journal(2, record);
   const Buffer floor_image = {0x09};
-  direct->put_meta("reply-floors", floor_image);
+  (void)committer.enqueue(2, record);
+  (void)committer.enqueue_meta("reply-floors", floor_image);
+  // rep.-prefixed keys are volume-private: never shipped.
+  (void)committer.enqueue_meta("rep.private", floor_image);
   std::vector<storage::ShardAppend> group;
   group.push_back({0, record});
   group.push_back({1, record});
-  direct->append_journal_batch(std::move(group));
-  // rep.-prefixed keys are volume-private: never shipped.
-  direct->put_meta("rep.private", floor_image);
-  // ack_one: every call above waited for the backup's durable apply.
+  committer.wait_durable(committer.enqueue_group(std::move(group)));
+  // ack_one: the wait covered the backup's durable apply of every cycle.
   EXPECT_EQ(backup_backend_->read_journal(2), record);
   EXPECT_EQ(backup_backend_->read_journal(0), record);
   EXPECT_EQ(backup_backend_->read_journal(1), record);
   EXPECT_EQ(backup_backend_->get_meta("reply-floors"), floor_image);
   EXPECT_TRUE(backup_backend_->get_meta("rep.private").empty());
-  // Compaction ships too (async): the backup compacts when the primary
-  // does.
+  // Compaction never rides the committer; the decorator ships it itself
+  // (async): the backup compacts when the primary does.
   const Buffer image = {0x42, 0x42};
-  direct->install_snapshot(2, image);
+  primary->install_snapshot(2, image);
   for (int i = 0; i < 1000 && backup_backend_->read_snapshot(2) != image;
        ++i) {
     std::this_thread::sleep_for(2ms);
   }
   EXPECT_EQ(backup_backend_->read_snapshot(2), image);
   EXPECT_TRUE(backup_backend_->read_journal(2).empty())
-      << "snapshot install must truncate the shipped journal too";
+      << "snapshot install must compact the shipped journal too";
 }
 
 TEST_F(ReplicationSuite, AttachPeerRacesPromotionUnderFlushStorm) {

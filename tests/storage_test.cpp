@@ -26,6 +26,8 @@
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/record.hpp"
+#include "amoeba/storage/replication/replica.hpp"
+#include "amoeba/storage/replication/wire.hpp"
 #include "amoeba/storage/uring_backend.hpp"
 
 namespace amoeba::storage {
@@ -137,7 +139,7 @@ TEST(MemoryBackendTest, JournalSnapshotMetaAndCapture) {
   MemoryBackend backend(4);
   EXPECT_TRUE(backend.empty());
   const Buffer a{1, 2, 3};
-  backend.append_journal(1, a);
+  backend.append_journal_batch({{1, a}});
   EXPECT_FALSE(backend.empty());
   EXPECT_EQ(backend.read_journal(1), a);
   EXPECT_TRUE(backend.read_journal(0).empty());
@@ -148,7 +150,7 @@ TEST(MemoryBackendTest, JournalSnapshotMetaAndCapture) {
 
   // Capture is a deep copy: later writes don't leak into the image.
   const auto image = backend.capture();
-  backend.append_journal(1, Buffer{4});
+  backend.append_journal_batch({{1, Buffer{4}}});
   backend.install_snapshot(1, Buffer{7, 7});
   EXPECT_EQ(image->read_journal(1), a);
   EXPECT_TRUE(image->read_snapshot(1).empty());
@@ -161,8 +163,8 @@ TEST(MemoryBackendTest, AppendHookFiresWithRunningCount) {
   MemoryBackend backend(2);
   std::vector<std::uint64_t> counts;
   backend.set_append_hook([&](std::uint64_t n) { counts.push_back(n); });
-  backend.append_journal(0, Buffer{1});
-  backend.append_journal(1, Buffer{2});
+  backend.append_journal_batch({{0, Buffer{1}}});
+  backend.append_journal_batch({{1, Buffer{2}}});
   std::vector<ShardAppend> batch;
   batch.push_back({0, Buffer{3}});
   batch.push_back({1, Buffer{4}});
@@ -174,15 +176,22 @@ TEST(MemoryBackendTest, AppendHookFiresWithRunningCount) {
   EXPECT_EQ(backend.append_count(), 4u);
 }
 
-TEST(FileBackendTest, PersistsAcrossReopen) {
+[[nodiscard]] std::filesystem::path fresh_dir(const char* tag) {
   const auto dir = std::filesystem::temp_directory_path() /
-                   ("amoeba-storage-test-" + std::to_string(::getpid()));
+                   (std::string("amoeba-") + tag + "-" +
+                    std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(FileBackendTest, PersistsAcrossReopen) {
+  const auto dir = fresh_dir("storage-test");
   {
     FileBackend backend(dir, 2);
     EXPECT_TRUE(backend.empty());
-    backend.append_journal(0, Buffer{1, 2});
-    backend.append_journal(0, Buffer{3});
+    backend.append_journal_batch({{0, Buffer{1, 2}}});
+    backend.append_journal_batch({{0, Buffer{3}}, {1, Buffer{4}}});
+    EXPECT_THROW(backend.append_journal_batch({{2, Buffer{5}}}), UsageError);
     backend.install_snapshot(1, Buffer{9, 9});
     backend.put_meta("reply-floors", Buffer{5});
   }
@@ -190,15 +199,38 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
     FileBackend backend(dir, 2);
     EXPECT_FALSE(backend.empty());
     EXPECT_EQ(backend.read_journal(0), (Buffer{1, 2, 3}));
+    EXPECT_EQ(backend.read_journal(1), Buffer{4});
     EXPECT_EQ(backend.read_snapshot(1), (Buffer{9, 9}));
     EXPECT_EQ(backend.get_meta("reply-floors"), Buffer{5});
-    // Compaction truncates the journal durably too.
     backend.install_snapshot(0, Buffer{8});
   }
   {
     FileBackend backend(dir, 2);
-    EXPECT_TRUE(backend.read_journal(0).empty());
     EXPECT_EQ(backend.read_snapshot(0), Buffer{8});
+  }
+  // One log per volume: the shards' records all live in commit.log.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".journal") << entry.path();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendTest, RejectsAVolumeHoldingPerShardJournalBytes) {
+  const auto dir = fresh_dir("legacy-volume");
+  std::filesystem::create_directories(dir);
+  // The older format created an empty shard-N.journal per shard at open:
+  // empty ones hold nothing and are accepted.
+  std::ofstream(dir / "shard-0.journal").close();
+  EXPECT_NO_THROW(FileBackend(dir, 2));
+  // A non-empty one holds records this backend would never read.
+  std::ofstream(dir / "shard-1.journal", std::ios::binary) << "record";
+  try {
+    FileBackend backend(dir, 2);
+    ADD_FAILURE() << "opened a volume whose journal bytes it would drop";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("shard-1.journal"),
+              std::string::npos)
+        << e.what();
   }
   std::filesystem::remove_all(dir);
 }
@@ -213,14 +245,6 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
                  Buffer{static_cast<std::uint8_t>(object & 0xFF)}},
                 out);
   return out;
-}
-
-[[nodiscard]] std::filesystem::path fresh_dir(const char* tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("amoeba-") + tag + "-" +
-                    std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 /// Drives the asynchronous submit contract synchronously: one group, block
@@ -297,29 +321,6 @@ TEST_P(CommitLogBackends, GroupedAppendsRecoverAcrossReopen) {
     ASSERT_EQ(shard2.size(), 1u);
     EXPECT_EQ(shard2[0].object.value(), 20u);
   }
-  std::filesystem::remove_all(dir);
-}
-
-TEST_P(CommitLogBackends, SyncAndGroupedAppendsMergeByLsn) {
-  const auto dir = fresh_dir("commit-merge");
-  auto backend = make(dir, 2);
-  // Wall-time order: sync lsn 1, grouped lsn 2, sync lsn 3.  The grouped
-  // record lives in commit.log, the sync ones in shard-0.journal; recovery
-  // must splice them back into LSN order.
-  backend->append_journal(0, frame(1, 1));
-  std::vector<ShardAppend> group;
-  group.push_back({0, frame(2, 2)});
-  submit_group_sync(*backend, std::move(group));
-  backend->append_journal(0, frame(3, 3));
-  bool torn = true;
-  const auto records = decode_journal(backend->read_journal(0), &torn);
-  EXPECT_FALSE(torn);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].lsn, 1u);
-  EXPECT_EQ(records[1].lsn, 2u);
-  EXPECT_EQ(records[2].lsn, 3u);
-  EXPECT_EQ(records[1].object.value(), 2u);
-  backend.reset();
   std::filesystem::remove_all(dir);
 }
 
@@ -468,6 +469,49 @@ TEST_P(CommitLogBackends, SnapshotGcRewritesAwaySubsumedRecords) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_P(CommitLogBackends, ShippedCycleLandsAsOneCommitLogFrame) {
+  const auto dir = fresh_dir("commit-replica");
+  {
+    auto backend = make(dir, 2);
+    ReplicaApplier applier(backend);
+    // What one metadata write costs on this volume: the applier's floor
+    // persist is one, and is not part of the cycle's journal cost.
+    IoCounters before = this_thread_io_counters();
+    backend->put_meta("probe", Buffer{1});
+    const IoCounters meta{this_thread_io_counters().writes - before.writes,
+                          this_thread_io_counters().fsyncs - before.fsyncs};
+    ASSERT_GT(meta.fsyncs, 0u);
+    // A two-shard cycle: both shards' runs go down as ONE commit.log
+    // frame -- one write, one fsync -- not one per touched shard.
+    const std::vector<ShardAppend> appends = {{0, frame(1, 1)},
+                                              {1, frame(2, 1)}};
+    before = this_thread_io_counters();
+    const auto applied =
+        applier.apply_cycle(encode_cycle_frame(1, {}, appends));
+    ASSERT_TRUE(applied.ok());
+    EXPECT_EQ(applied.value(), 1u);
+    EXPECT_EQ(this_thread_io_counters().writes - before.writes,
+              1 + meta.writes);
+    EXPECT_EQ(this_thread_io_counters().fsyncs - before.fsyncs,
+              1 + meta.fsyncs);
+  }
+  {
+    FileBackend backend(dir, 2);
+    const auto shard0 = decode_journal(backend.read_journal(0));
+    ASSERT_EQ(shard0.size(), 1u);
+    EXPECT_EQ(shard0[0].object.value(), 1u);
+    const auto shard1 = decode_journal(backend.read_journal(1));
+    ASSERT_EQ(shard1.size(), 1u);
+    EXPECT_EQ(shard1[0].object.value(), 2u);
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_FALSE(entry.path().filename().string().starts_with("shard-") &&
+                 entry.path().extension() == ".journal")
+        << entry.path();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(GroupCommitTest, WaitCoversEveryEarlierTicket) {
   auto backend = std::make_shared<MemoryBackend>(4);
   GroupCommitter committer(backend);
@@ -566,10 +610,6 @@ class ExplodingBackend final : public Backend {
 
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_.shard_count();
-  }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override {
-    inner_.append_journal(shard, bytes);
   }
   void append_journal_batch(std::vector<ShardAppend>&& appends) override {
     inner_.append_journal_batch(std::move(appends));
@@ -813,10 +853,13 @@ namespace {
 
 constexpr Port kPort{0x5A5A5A5A5A5AULL};
 
+/// A durable int store over `backend`, journaling through its own group
+/// committer (the only path a store has to its volume).
 [[nodiscard]] Durability<int> int_codec(
-    std::shared_ptr<storage::Backend> backend, std::size_t compact_after = 0) {
+    const std::shared_ptr<storage::Backend>& backend,
+    std::size_t compact_after = 0) {
   Durability<int> d;
-  d.backend = std::move(backend);
+  d.committer = storage::GroupCommitter::create(backend);
   d.encode = [](Writer& w, const int& v) {
     w.u32(static_cast<std::uint32_t>(v));
   };
@@ -901,22 +944,27 @@ TEST(DurableStore, RevocationSurvivesRestart) {
 TEST(DurableStore, PairMutationsJournalAtomically) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   ObjectStore<int> store(scheme(), kPort, 4, 16, int_codec(backend));
-  const Capability a = store.create(10);
-  const Capability b = store.create(20);
+  const Capability a = store.create(100);
+  const Capability b = store.create(200);
   const auto before = backend->append_count();
+  std::vector<std::uint64_t> barriers;
+  backend->set_append_hook([&](std::uint64_t n) { barriers.push_back(n); });
   {
     auto pair = store.open2(a, Rights::none(), b, Rights::none());
     ASSERT_TRUE(pair.ok());
-    *pair.value().a.value = 11;
-    *pair.value().b.value = 21;
+    *pair.value().a.value -= 30;
+    *pair.value().b.value += 30;
     pair.value().a.mark_dirty();
     pair.value().b.mark_dirty();
-  }
-  // Both mutates landed, delivered as one batch (one hook firing).
+  }  // one enqueue_group, one ticket, one wait
+  backend->set_append_hook(nullptr);
+  // Both mutates landed in ONE append group (one barrier, two entries):
+  // no crash image can hold the debit without the credit.
+  EXPECT_EQ(barriers.size(), 1u);
   EXPECT_EQ(backend->append_count(), before + 2);
   ObjectStore<int> recovered(scheme(), kPort, 5, 16, int_codec(backend));
-  EXPECT_EQ(*recovered.open(a, Rights::none()).value().value, 11);
-  EXPECT_EQ(*recovered.open(b, Rights::none()).value().value, 21);
+  EXPECT_EQ(*recovered.open(a, Rights::none()).value().value, 70);
+  EXPECT_EQ(*recovered.open(b, Rights::none()).value().value, 230);
 }
 
 TEST(DurableStore, CompactionFoldsJournalIntoSnapshot) {
@@ -999,9 +1047,7 @@ TEST(DurableStore, MismatchedShardCountIsRejected) {
 }
 
 TEST(DurableStore, FileBackendRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("amoeba-durable-store-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
+  const auto dir = storage::fresh_dir("durable-store");
   Capability cap;
   {
     auto backend = std::make_shared<storage::FileBackend>(dir, 16);
@@ -1021,54 +1067,22 @@ TEST(DurableStore, FileBackendRoundTrip) {
 
 // ----------------------------------------------- group-committed store
 
-[[nodiscard]] Durability<int> committed_codec(
-    const std::shared_ptr<storage::Backend>& backend,
-    bool with_delta = false, std::size_t compact_after = 0) {
-  Durability<int> d = int_codec(backend, compact_after);
-  d.committer = storage::GroupCommitter::create(backend);
-  if (with_delta) {
-    // Patch format: one u32 increment (replayed exactly once per record:
-    // recovery is LSN-gated, so non-idempotent patches are still safe).
-    d.apply_delta = [](Reader& r, int& v) {
-      v += static_cast<int>(r.u32());
-      return r.ok();
-    };
-  }
+/// int_codec plus a delta codec.  Patch format: one u32 increment
+/// (replayed exactly once per record: recovery is LSN-gated, so
+/// non-idempotent patches are still safe).
+[[nodiscard]] Durability<int> delta_codec(
+    const std::shared_ptr<storage::Backend>& backend) {
+  Durability<int> d = int_codec(backend);
+  d.apply_delta = [](Reader& r, int& v) {
+    v += static_cast<int>(r.u32());
+    return r.ok();
+  };
   return d;
-}
-
-TEST(GroupCommittedStore, MutationsRecoverAfterAsyncJournaling) {
-  auto backend = std::make_shared<storage::MemoryBackend>(16);
-  std::vector<Capability> caps;
-  {
-    ObjectStore<int> store(scheme(), kPort, 20, 16,
-                           committed_codec(backend));
-    for (int i = 0; i < 32; ++i) {
-      caps.push_back(store.create(i));
-    }
-    for (int i = 0; i < 32; ++i) {
-      auto opened = store.open(caps[static_cast<std::size_t>(i)],
-                               Rights::all());
-      ASSERT_TRUE(opened.ok());
-      *opened.value().value += 1000;
-      opened.value().mark_dirty();
-    }  // release blocks on the group-commit ticket
-  }
-  ObjectStore<int> recovered(scheme(), kPort, 21, 16,
-                             committed_codec(backend));
-  ASSERT_EQ(recovered.live_count(), 32u);
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(*recovered.open(caps[static_cast<std::size_t>(i)],
-                              Rights::none())
-                   .value()
-                   .value,
-              i + 1000);
-  }
 }
 
 TEST(GroupCommittedStore, PipelinedReleasesWaitOnceOnTheLastTicket) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
-  ObjectStore<int> store(scheme(), kPort, 22, 16, committed_codec(backend));
+  ObjectStore<int> store(scheme(), kPort, 22, 16, int_codec(backend));
   std::vector<Capability> caps;
   for (int i = 0; i < 64; ++i) {
     caps.push_back(store.create(i));
@@ -1088,7 +1102,7 @@ TEST(GroupCommittedStore, PipelinedReleasesWaitOnceOnTheLastTicket) {
   EXPECT_GT(last, 0u);
   store.wait_durable(last);
   ObjectStore<int> recovered(scheme(), kPort, 23, 16,
-                             committed_codec(backend));
+                             int_codec(backend));
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(*recovered.open(caps[static_cast<std::size_t>(i)],
                               Rights::none())
@@ -1098,31 +1112,12 @@ TEST(GroupCommittedStore, PipelinedReleasesWaitOnceOnTheLastTicket) {
   }
 }
 
-TEST(GroupCommittedStore, PairMutationsStayAtomicThroughTheQueue) {
-  auto backend = std::make_shared<storage::MemoryBackend>(16);
-  ObjectStore<int> store(scheme(), kPort, 24, 16, committed_codec(backend));
-  const Capability a = store.create(100);
-  const Capability b = store.create(200);
-  {
-    auto pair = store.open2(a, Rights::none(), b, Rights::none());
-    ASSERT_TRUE(pair.ok());
-    *pair.value().a.value -= 30;
-    *pair.value().b.value += 30;
-    pair.value().a.mark_dirty();
-    pair.value().b.mark_dirty();
-  }  // one enqueue_group, one ticket, one wait
-  ObjectStore<int> recovered(scheme(), kPort, 25, 16,
-                             committed_codec(backend));
-  EXPECT_EQ(*recovered.open(a, Rights::none()).value().value, 70);
-  EXPECT_EQ(*recovered.open(b, Rights::none()).value().value, 230);
-}
-
 TEST(GroupCommittedStore, DeltaPatchesRecoverAndCompactionFoldsThem) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   Capability cap;
   {
     ObjectStore<int> store(scheme(), kPort, 26, 16,
-                           committed_codec(backend, /*with_delta=*/true));
+                           delta_codec(backend));
     cap = store.create(10);
     for (int round = 0; round < 3; ++round) {
       auto opened = store.open(cap, Rights::all());
@@ -1145,12 +1140,12 @@ TEST(GroupCommittedStore, DeltaPatchesRecoverAndCompactionFoldsThem) {
   {
     ObjectStore<int> recovered(
         scheme(), kPort, 27, 16,
-        committed_codec(backend, /*with_delta=*/true));
+        delta_codec(backend));
     EXPECT_EQ(*recovered.open(cap, Rights::none()).value().value, 31);
     recovered.compact();  // folds the delta chain into the snapshot
   }
   ObjectStore<int> again(scheme(), kPort, 28, 16,
-                         committed_codec(backend, /*with_delta=*/true));
+                         delta_codec(backend));
   EXPECT_EQ(*again.open(cap, Rights::none()).value().value, 31);
 }
 
@@ -1159,7 +1154,7 @@ TEST(GroupCommittedStore, FullImageSupersedesPendingDeltas) {
   Capability cap;
   {
     ObjectStore<int> store(scheme(), kPort, 29, 16,
-                           committed_codec(backend, /*with_delta=*/true));
+                           delta_codec(backend));
     cap = store.create(1);
     auto opened = store.open(cap, Rights::all());
     ASSERT_TRUE(opened.ok());
@@ -1170,14 +1165,14 @@ TEST(GroupCommittedStore, FullImageSupersedesPendingDeltas) {
     opened.value().mark_dirty();
   }
   ObjectStore<int> recovered(scheme(), kPort, 30, 16,
-                             committed_codec(backend, /*with_delta=*/true));
+                             delta_codec(backend));
   EXPECT_EQ(*recovered.open(cap, Rights::none()).value().value, 55);
 }
 
 TEST(GroupCommittedStore, DeltaWithoutCodecIsRejectedAtMarkTime) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   ObjectStore<int> durable_store(scheme(), kPort, 31, 16,
-                                 committed_codec(backend));
+                                 int_codec(backend));
   const Capability cap = durable_store.create(1);
   {
     auto opened = durable_store.open(cap, Rights::all());
@@ -1197,15 +1192,6 @@ TEST(GroupCommittedStore, DeltaWithoutCodecIsRejectedAtMarkTime) {
   opened.value().mark_dirty_delta(patch.take());
 }
 
-TEST(GroupCommittedStore, ForeignCommitterIsRejected) {
-  auto backend = std::make_shared<storage::MemoryBackend>(16);
-  auto other = std::make_shared<storage::MemoryBackend>(16);
-  Durability<int> d = int_codec(backend);
-  d.committer = storage::GroupCommitter::create(other);
-  EXPECT_THROW(ObjectStore<int>(scheme(), kPort, 33, 16, std::move(d)),
-               UsageError);
-}
-
 TEST(GroupCommittedStore, ConcurrentMutatorsStorm) {
   // The store-level TSan target: mutator threads hammer overlapping
   // objects through the full open/mark_dirty/release (and pipelined
@@ -1217,7 +1203,7 @@ TEST(GroupCommittedStore, ConcurrentMutatorsStorm) {
   std::uint64_t mutations = 0;
   {
     ObjectStore<int> store(scheme(), kPort, 34, 16,
-                           committed_codec(backend));
+                           int_codec(backend));
     for (int i = 0; i < 32; ++i) {
       caps.push_back(store.create(0));
     }
@@ -1249,7 +1235,7 @@ TEST(GroupCommittedStore, ConcurrentMutatorsStorm) {
   // Every mutation journaled exactly once: creates + thread increments.
   EXPECT_EQ(mutations, 32u + kThreads * kRounds);
   ObjectStore<int> recovered(scheme(), kPort, 35, 16,
-                             committed_codec(backend));
+                             int_codec(backend));
   std::uint64_t total = 0;
   for (const auto& cap : caps) {
     auto opened = recovered.open(cap, Rights::none());
