@@ -192,12 +192,6 @@ class Service {
   /// of the cycle).  Null committer (an in-memory server): no-op.  Call
   /// from the server constructor, before start().
   void attach_durability(std::shared_ptr<storage::GroupCommitter> committer);
-  /// The committer attach_durability wired in (null for an in-memory
-  /// service); drain() it to wait out best-effort reply-body persists.
-  [[nodiscard]] const std::shared_ptr<storage::GroupCommitter>& committer()
-      const {
-    return reply_committer_;
-  }
 
   /// Serialized per-client suppression state (src machine, client id,
   /// highest seq claimed, plus a bounded window of completed reply

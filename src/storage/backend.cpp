@@ -268,20 +268,21 @@ inline void patch_u32(Buffer& out, std::size_t at, std::uint32_t v) {
 /// Walks commit-log group frames, invoking `entry(shard, record_bytes)` for
 /// every entry of every intact frame.  Stops silently at the first torn or
 /// corrupt frame: a crash mid-append loses the unacknowledged tail group
-/// and nothing before it.
+/// and nothing before it.  Returns where the intact frames end.
 template <typename Fn>
-void for_each_commit_entry(std::span<const std::uint8_t> log, Fn&& entry) {
+std::size_t for_each_commit_entry(std::span<const std::uint8_t> log,
+                                  Fn&& entry) {
   std::size_t pos = 0;
   while (pos < log.size()) {
     Reader frame(log.subspan(pos));
     const std::uint32_t length = frame.u32();
     const std::uint32_t checksum = frame.u32();
     if (!frame.ok() || frame.remaining() < length) {
-      return;  // torn tail: the final group never got acknowledged
+      return pos;  // torn tail: the final group never got acknowledged
     }
     const auto body = log.subspan(pos + 8, length);
     if (frame_checksum(body) != checksum) {
-      return;
+      return pos;
     }
     Reader r(body);
     const std::uint32_t count = r.u32();
@@ -289,11 +290,23 @@ void for_each_commit_entry(std::span<const std::uint8_t> log, Fn&& entry) {
       const std::uint32_t shard = r.u32();
       const Buffer bytes = r.bytes();
       if (!r.ok()) {
-        return;  // checksummed body should never underrun; stop defensively
+        return pos;  // checksummed body never underruns; stop defensively
       }
       entry(static_cast<std::size_t>(shard), bytes);
     }
     pos += 8 + length;
+  }
+  return pos;
+}
+
+/// Adds one commit-log entry to a shard's journal as recovery reads it.
+/// A zero-length entry is a snapshot install's reset marker (writers never
+/// log an empty run): everything of the shard before it is dropped.
+void collect_entry(Buffer& journal, const Buffer& bytes) {
+  if (bytes.empty()) {
+    journal.clear();
+  } else {
+    journal.insert(journal.end(), bytes.begin(), bytes.end());
   }
 }
 
@@ -328,8 +341,25 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
     throw UsageError("FileBackend: cannot open commit log in " +
                      directory_.string());
   }
-  const off_t size = ::lseek(commit_fd_, 0, SEEK_END);
-  commit_log_bytes_ = size > 0 ? static_cast<std::uint64_t>(size) : 0;
+  // One pass over commit.log splits it by shard for recovery's
+  // read_journal calls and finds where the intact frames end.
+  const std::size_t intact = split_commit_log_locked();
+  commit_logged_.assign(shards, false);
+  for (std::size_t s = 0; s < shards; ++s) {
+    commit_logged_[s] = !unread_journals_[s]->empty();
+  }
+  if (::lseek(commit_fd_, 0, SEEK_END) > static_cast<off_t>(intact)) {
+    // A crash cut the last group short; it was never acknowledged.  Cut
+    // it off before anything is appended behind it: recovery stops at
+    // the first torn frame, so every group written after one would be
+    // lost at the next restart.
+    if (::ftruncate(commit_fd_, static_cast<off_t>(intact)) != 0) {
+      throw UsageError("FileBackend: cannot cut the torn commit-log tail in " +
+                       directory_.string());
+    }
+    fsync_or_throw(commit_fd_, directory_, "commit log");
+  }
+  commit_log_bytes_ = intact;
   // GC floors: a commit-log record at or below its shard's snapshot LSN is
   // already subsumed.  Seed from the on-disk snapshots so a reopened
   // volume's first GC is as effective as a long-lived one's.
@@ -421,14 +451,39 @@ Buffer FileBackend::read_journal(std::size_t shard) const {
   // An async subclass may still have acknowledged-to-nobody frames in
   // flight; recovery must read a log with every completed frame on it.
   quiesce_commit_locked();
-  const Buffer log = read_file(commit_log_path());
-  Buffer out;
-  for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
-    if (sh == shard) {
-      out.insert(out.end(), bytes.begin(), bytes.end());
-    }
-  });
+  if (shard >= shard_count()) {
+    return {};
+  }
+  // Recovery (and a replication resync) reads every shard in turn: one
+  // pass over the log splits it for all of them, and each shard is served
+  // from the split until the next write retires it.
+  if (unread_journals_.empty() || !unread_journals_[shard]) {
+    (void)split_commit_log_locked();
+  }
+  Buffer out = std::move(*unread_journals_[shard]);
+  unread_journals_[shard].reset();
   return out;
+}
+
+std::size_t FileBackend::split_commit_log_locked() const {
+  const Buffer log = read_file(commit_log_path());
+  unread_journals_.assign(shard_count(), Buffer{});
+  return for_each_commit_entry(
+      log, [&](std::size_t sh, const Buffer& bytes) {
+        if (sh < unread_journals_.size()) {
+          collect_entry(*unread_journals_[sh], bytes);
+        }
+      });
+}
+
+void FileBackend::note_appended_locked(
+    const std::vector<ShardAppend>& appends) {
+  unread_journals_.clear();
+  for (const ShardAppend& a : appends) {
+    if (a.shard < commit_logged_.size()) {
+      commit_logged_[a.shard] = true;
+    }
+  }
 }
 
 void FileBackend::encode_group_frame(const std::vector<ShardAppend>& appends,
@@ -470,6 +525,11 @@ void FileBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
     return;
   }
   const std::lock_guard lock(commit_mutex_);
+  note_appended_locked(appends);
+  write_frame_locked(appends);
+}
+
+void FileBackend::write_frame_locked(const std::vector<ShardAppend>& appends) {
   // A synchronous frame must never interleave with frames an async
   // subclass still has in flight on the same log.
   quiesce_commit_locked();
@@ -517,25 +577,36 @@ void FileBackend::install_snapshot(std::size_t shard,
                                    std::span<const std::uint8_t> bytes) {
   const std::lock_guard lock(snapshot_mutexes_.at(shard));
   replace_file_durably(snapshot_path(shard), bytes, "snapshot");
-  // Advance the commit-log GC floor (every record of this shard already in
-  // the log was framed -- LSN-stamped -- before this snapshot was encoded,
-  // so the snapshot subsumes them all), and rewrite the log once it has
-  // grown past the threshold.  LSN gating makes the lag harmless: a stale
-  // record left in the log replays as a no-op.
   const std::lock_guard commit_lock(commit_mutex_);
-  commit_floor_.at(shard) =
-      std::max(commit_floor_[shard], peek_snapshot_lsn(bytes));
-  // Threshold plus a low-water doubling guard: when a rewrite barely
-  // shrinks the log (other shards' records still live), the next one
-  // waits until the log has doubled instead of thrashing rewrites at
-  // every snapshot.
+  // The snapshot is the shard's whole state as of its LSN: that LSN is the
+  // shard's GC floor (lower than the old one when a backup is resynced
+  // from a primary with a shorter history), and every record of the
+  // shard already on commit.log goes.  A store compacting under its shard
+  // lock leaves only records the snapshot subsumes, but a backup being
+  // resynced can hold records from a history the new primary never had,
+  // or ones the primary's journal tail is about to ship again; replayed
+  // on top of the snapshot they would revive objects or apply a delta
+  // twice.
+  commit_floor_.at(shard) = peek_snapshot_lsn(bytes);
   if (commit_log_bytes_ >= kCommitLogGcBytes &&
       commit_log_bytes_ >= 2 * commit_gc_low_) {
-    gc_commit_log_locked();
+    // Threshold plus a low-water doubling guard: when a rewrite barely
+    // shrinks the log (other shards' records still live), the next one
+    // waits until the log has doubled instead of thrashing rewrites at
+    // every snapshot.
+    gc_commit_log_locked(shard);
+  } else if (commit_logged_[shard]) {
+    // Short of a rewrite, a reset marker: one zero-length entry.  A crash
+    // after the rename above but before it lands leaves the old records;
+    // replay skips those a store compacted, and a backup caught mid-
+    // resync is resynced again when it reattaches.
+    write_frame_locked({{shard, Buffer{}}});
+    commit_logged_[shard] = false;
+    unread_journals_.clear();
   }
 }
 
-void FileBackend::gc_commit_log_locked() {
+void FileBackend::gc_commit_log_locked(std::size_t reset_shard) {
   // The rewrite swaps commit_fd_ to a fresh inode; in-flight ring writes
   // against the old one would be silently dropped.  Drain them first.
   quiesce_commit_locked();
@@ -546,11 +617,15 @@ void FileBackend::gc_commit_log_locked() {
   const Buffer log = read_file(commit_log_path());
   std::vector<Buffer> per_shard(shard_count());
   for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
-    if (sh >= per_shard.size()) {
+    if (sh >= per_shard.size() || sh == reset_shard) {
       return;
     }
     const std::uint64_t floor = commit_floor_[sh];
     Buffer& kept = per_shard[sh];
+    if (bytes.empty()) {
+      kept.clear();  // reset marker; the rewrite needs none
+      return;
+    }
     std::size_t pos = 0;
     while (pos + 8 <= bytes.size()) {
       const std::uint32_t length = load_u32(bytes.data() + pos);
@@ -603,6 +678,10 @@ void FileBackend::gc_commit_log_locked() {
   commit_fd_ = fresh;
   commit_log_bytes_ = rebuilt.size();
   commit_gc_low_ = rebuilt.size();
+  for (std::size_t sh = 0; sh < per_shard.size(); ++sh) {
+    commit_logged_[sh] = !per_shard[sh].empty();
+  }
+  unread_journals_.clear();
 }
 
 Buffer FileBackend::read_snapshot(std::size_t shard) const {

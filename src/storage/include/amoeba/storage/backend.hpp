@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -113,11 +114,14 @@ class Backend {
 
   /// Whole-journal read (recovery): the shard's records in append order.
   /// May still include records an installed snapshot subsumes (lsn <= its
-  /// applied LSN); replay skips those.
+  /// applied LSN: ones in flight when it was installed); replay skips
+  /// those.
   [[nodiscard]] virtual Buffer read_journal(std::size_t shard) const = 0;
 
-  /// Atomically replaces the shard's snapshot (log compaction); the
-  /// journal records it subsumes become garbage the volume may drop.
+  /// Atomically replaces the shard's snapshot (log compaction) and
+  /// truncates the shard's journal: read_journal() returns only what is
+  /// appended after this call.  A replication resync relies on the
+  /// truncation to reset a backup's shard.
   virtual void install_snapshot(std::size_t shard,
                                 std::span<const std::uint8_t> bytes) = 0;
 
@@ -200,7 +204,8 @@ class FileBackend : public Backend {
   /// file, when the directory holds a non-empty shard-N.journal from the
   /// older per-shard journal format: this backend never reads those
   /// files, and opening the volume anyway would silently drop records
-  /// that were acknowledged durable.
+  /// that were acknowledged durable.  Reads commit.log once, splitting it
+  /// by shard for recovery, and cuts off a torn tail.
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 
@@ -213,6 +218,8 @@ class FileBackend : public Backend {
   /// group real on-disk atomicity.
   void append_journal_batch(std::vector<ShardAppend>&& appends) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
+  /// Truncates the shard's journal with a reset marker in commit.log (one
+  /// small frame, one fsync), or by the GC rewrite once the log is large.
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override;
@@ -253,6 +260,11 @@ class FileBackend : public Backend {
   Buffer commit_frame_;  // reused staging buffer for group frames
 
   [[nodiscard]] std::filesystem::path commit_log_path() const;
+  /// Every writer calls this, with commit_mutex_ held, for each group it
+  /// puts on commit.log: it marks the shards as holding records (so a
+  /// snapshot install knows to reset them) and retires the split of the
+  /// log that read_journal serves from.
+  void note_appended_locked(const std::vector<ShardAppend>& appends);
 
  private:
   [[nodiscard]] std::filesystem::path snapshot_path(std::size_t shard) const;
@@ -263,9 +275,17 @@ class FileBackend : public Backend {
   void replace_file_durably(const std::filesystem::path& path,
                             std::span<const std::uint8_t> bytes,
                             const char* what);
+  /// Writes one group frame to commit.log with one fsync, after draining
+  /// an async subclass's in-flight frames.  Caller holds commit_mutex_.
+  void write_frame_locked(const std::vector<ShardAppend>& appends);
   /// Rewrites commit.log dropping every record a shard snapshot already
-  /// subsumes (lsn <= that shard's floor).  Caller holds commit_mutex_.
-  void gc_commit_log_locked();
+  /// subsumes (lsn <= that shard's floor) and every record of
+  /// `reset_shard`, whose snapshot is being installed.  Caller holds
+  /// commit_mutex_.
+  void gc_commit_log_locked(std::size_t reset_shard);
+  /// Reads commit.log once into unread_journals_, one journal per shard;
+  /// returns where its intact frames end.  Caller holds commit_mutex_.
+  std::size_t split_commit_log_locked() const;
 
   std::filesystem::path directory_;
   int dir_fd_ = -1;  // fsync'd after every rename into the directory
@@ -274,6 +294,12 @@ class FileBackend : public Backend {
   mutable std::mutex meta_mutex_;
   std::uint64_t commit_gc_low_ = 0;  // log size after the last GC rewrite
   std::vector<std::uint64_t> commit_floor_;  // per-shard snapshot applied LSN
+  /// Per shard: commit.log may hold records of it after its last reset
+  /// (in flight included).  Guarded by commit_mutex_.
+  std::vector<bool> commit_logged_;
+  /// commit.log split by shard, each handed out once by read_journal
+  /// until the next write retires them all.  Guarded by commit_mutex_.
+  mutable std::vector<std::optional<Buffer>> unread_journals_;
 };
 
 }  // namespace amoeba::storage

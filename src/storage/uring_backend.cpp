@@ -360,6 +360,7 @@ void UringFileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
         // what orders this thread's writes against the reaper's eventual
         // free of the chain -- the kernel's SQE->CQE path orders the
         // free in time, but the memory model cannot see it.
+        note_appended_locked(appends);
         chain->id = next_chain_id_++;
         chain->fd = commit_fd_;
         chain->offset = commit_log_bytes_;

@@ -260,27 +260,45 @@ class ReplicationSuite : public ::testing::Test {
     replicated_.reset();
   }
 
-  /// Polls until every queued shipment is acked (async-mode catch-up).
+  /// Polls until every queued shipment is acked (async-mode catch-up) and
+  /// the backup volume has converged on the primary's.  A reply body is
+  /// persisted best effort: its image is enqueued before the reply leaves,
+  /// but the flush cycle that writes it locally and then ships it can
+  /// still be running after the client has the reply.  So the primary's
+  /// volume must first hold the bank's latest reply-floors image; then
+  /// nothing is left in flight to change either volume.
   [[nodiscard]] bool wait_synced() {
-    // A reply body is persisted best effort: its image is enqueued before
-    // the reply leaves, but the flush cycle that writes it locally and
-    // then ships it can still be running after the client has the reply.
-    // Drain the committer first so the shipment counters cover it.
-    bank_->committer()->drain();
     for (int i = 0; i < 2000; ++i) {
       replicated_->heartbeat();
       const auto stats = replicated_->stats();
-      bool synced = true;
+      bool synced = local_->get_meta("reply-floors") ==
+                    bank_->encode_reply_floors();
       for (const auto& peer : stats.peers) {
         synced = synced && peer.queued == 0 &&
                  peer.acked_lsn >= stats.shipped_lsn;
       }
-      if (synced) {
+      if (synced && volumes_equal()) {
         return true;
       }
       std::this_thread::sleep_for(2ms);
     }
     return false;
+  }
+
+  [[nodiscard]] bool volumes_equal() const {
+    for (std::size_t s = 0; s < local_->shard_count(); ++s) {
+      if (local_->read_journal(s) != backup_backend_->read_journal(s) ||
+          local_->read_snapshot(s) != backup_backend_->read_snapshot(s)) {
+        return false;
+      }
+    }
+    for (const std::string& key : local_->meta_keys()) {
+      if (!key.starts_with(storage::kRepMetaPrefix) &&
+          local_->get_meta(key) != backup_backend_->get_meta(key)) {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// The whole point of journal shipping: the backup volume is

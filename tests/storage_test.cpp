@@ -199,13 +199,16 @@ TEST(FileBackendTest, PersistsAcrossReopen) {
     FileBackend backend(dir, 2);
     EXPECT_FALSE(backend.empty());
     EXPECT_EQ(backend.read_journal(0), (Buffer{1, 2, 3}));
-    EXPECT_EQ(backend.read_journal(1), Buffer{4});
+    // Installing shard 1's snapshot truncated its journal.
+    EXPECT_TRUE(backend.read_journal(1).empty());
     EXPECT_EQ(backend.read_snapshot(1), (Buffer{9, 9}));
     EXPECT_EQ(backend.get_meta("reply-floors"), Buffer{5});
+    // Compaction truncates the journal durably too.
     backend.install_snapshot(0, Buffer{8});
   }
   {
     FileBackend backend(dir, 2);
+    EXPECT_TRUE(backend.read_journal(0).empty());
     EXPECT_EQ(backend.read_snapshot(0), Buffer{8});
   }
   // One log per volume: the shards' records all live in commit.log.
@@ -352,6 +355,18 @@ TEST_P(CommitLogBackends, TornGroupFrameDropsTheWholeGroup) {
     const auto shard1 = decode_journal(backend.read_journal(1), &torn);
     ASSERT_EQ(shard1.size(), 1u);
     EXPECT_EQ(shard1[0].object.value(), 2u);
+  }
+  // Opening the volume cut the torn bytes off, so a group appended now is
+  // not stranded behind bytes where every later recovery would stop.
+  {
+    auto backend = make(dir, 2);
+    submit_group_sync(*backend, {{1, frame(5, 2)}});
+  }
+  {
+    FileBackend backend(dir, 2);
+    const auto shard1 = decode_journal(backend.read_journal(1));
+    ASSERT_EQ(shard1.size(), 2u);
+    EXPECT_EQ(shard1[1].object.value(), 5u);
   }
   std::filesystem::remove_all(dir);
 }
@@ -508,6 +523,85 @@ TEST_P(CommitLogBackends, ShippedCycleLandsAsOneCommitLogFrame) {
     EXPECT_FALSE(entry.path().filename().string().starts_with("shard-") &&
                  entry.path().extension() == ".journal")
         << entry.path();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+using Replay = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+/// The records recovery replays for one shard: its journal's records
+/// newer than the shard snapshot's applied LSN (the LSN gate of
+/// ShardedObjectStore::recover), as (object, lsn) pairs.
+[[nodiscard]] Replay replayed(const Backend& volume, std::size_t shard) {
+  std::vector<SnapshotSlot> slots;
+  std::uint64_t applied = 0;
+  EXPECT_TRUE(decode_snapshot(volume.read_snapshot(shard), slots, applied));
+  Replay out;
+  for (const Record& record : decode_journal(volume.read_journal(shard))) {
+    if (record.lsn > applied) {
+      out.emplace_back(record.object.value(), record.lsn);
+    }
+  }
+  return out;
+}
+
+TEST_P(CommitLogBackends, ResyncSnapshotResetsTheShardOnABackup) {
+  // A backup volume that a new primary resyncs: every shard's snapshot
+  // first, then one cycle carrying every journal tail.  Each snapshot
+  // install must reset its shard the way a fresh journal would.
+  const auto dir = fresh_dir("commit-resync");
+  constexpr std::uint64_t kBulk = 160000;  // pushes commit.log past GC
+  {
+    auto backend = make(dir, 2);
+    ReplicaApplier applier(backend);
+    // The backup's earlier history: shard 0 compacted at LSN 50 and then
+    // journaled 51..52; shard 1 journaled 1..2.
+    ASSERT_TRUE(applier.install_snapshot(1, 0, encode_snapshot({}, 50)).ok());
+    const auto run = [](Buffer a, const Buffer& b) {
+      a.insert(a.end(), b.begin(), b.end());
+      return a;
+    };
+    const Buffer stale = run(frame(90, 51), frame(91, 52));
+    const Buffer shared = run(frame(10, 1), frame(11, 2));
+    const std::vector<ShardAppend> before = {{0, stale}, {1, shared}};
+    ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(2, {}, before)).ok());
+
+    // The resync.  Shard 0: the new primary never had those records; its
+    // snapshot is empty (LSN 0, below the backup's old floor) and its
+    // journal holds one record at LSN 1.  Shard 1: same history, the
+    // primary compacted at LSN 1 and ships its journal, LSN 2 included,
+    // again.
+    ASSERT_TRUE(applier.install_snapshot(3, 0, encode_snapshot({}, 0)).ok());
+    ASSERT_TRUE(applier.install_snapshot(4, 1, encode_snapshot({}, 1)).ok());
+    const std::vector<ShardAppend> tail = {{0, frame(20, 1)}, {1, shared}};
+    ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(5, {}, tail)).ok());
+    EXPECT_EQ(replayed(*backend, 0), (Replay{{20, 1}}))
+        << "stale records above the new snapshot must not replay";
+    EXPECT_EQ(replayed(*backend, 1), (Replay{{11, 2}}))
+        << "a resent record must replay exactly once";
+
+    // The stream continues: shard 1 grows the log past the GC threshold
+    // and compacts, which rewrites commit.log.  Shard 0's floor is the
+    // new snapshot's LSN 0, not the old 50, so its LSN-1 record survives.
+    Buffer bulk;
+    for (std::uint64_t lsn = 3; lsn < 3 + kBulk; ++lsn) {
+      encode_record({RecordType::mutate, ObjectNumber(12), 0x5EC2E7, lsn,
+                     Buffer(24, 0xAB)},
+                    bulk);
+    }
+    const std::vector<ShardAppend> grow = {{1, std::move(bulk)}};
+    ASSERT_TRUE(applier.apply_cycle(encode_cycle_frame(6, {}, grow)).ok());
+    ASSERT_GT(std::filesystem::file_size(dir / "commit.log"),
+              std::uint64_t{8} << 20);
+    ASSERT_TRUE(
+        applier.install_snapshot(7, 1, encode_snapshot({}, 2 + kBulk)).ok());
+    EXPECT_LT(std::filesystem::file_size(dir / "commit.log"), 4096u);
+    EXPECT_EQ(replayed(*backend, 0), (Replay{{20, 1}}));
+  }
+  {
+    FileBackend backend(dir, 2);
+    EXPECT_EQ(replayed(backend, 0), (Replay{{20, 1}}));
+    EXPECT_TRUE(replayed(backend, 1).empty());
   }
   std::filesystem::remove_all(dir);
 }
